@@ -24,7 +24,6 @@ func BenchmarkWALOverhead(b *testing.B) {
 		return eng
 	}
 	const query = `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
-	dir := b.TempDir()
 
 	var plainNs, durableNs int64
 	b.Run("plain", func(b *testing.B) {
@@ -37,8 +36,10 @@ func BenchmarkWALOverhead(b *testing.B) {
 	})
 	b.Run("durable", func(b *testing.B) {
 		ctx := context.Background()
+		// A directory per run: -count repeats a run with the same b.N.
+		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
-			path := filepath.Join(dir, fmt.Sprintf("b%d-%d.qjl", b.N, i))
+			path := filepath.Join(dir, fmt.Sprintf("run%d.qjl", i))
 			if _, _, err := RunQueryDurable(ctx, build(), query, path); err != nil {
 				b.Fatal(err)
 			}

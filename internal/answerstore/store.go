@@ -11,25 +11,19 @@
 // crowd labor is the scarce resource, and dedup across traffic is what
 // makes the unit economics of a shared query service work.
 //
-// Persistence uses the same append-only CRC-framed record file as
-// internal/wal (8-byte header: little-endian uint32 payload length +
-// uint32 CRC-32/IEEE of the payload, then a JSON payload), including
-// torn-tail truncation on open, so a crash mid-append loses at most the
-// record being written. The framing is re-implemented here rather than
-// imported: the store sits below the executor and must not depend on
-// the journal package.
+// Persistence is an internal/framelog file with one JSON record per
+// Store call, fsynced before Store returns; a crash mid-append loses at
+// most the record being written.
 package answerstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"time"
 
+	"qurk/internal/framelog"
 	"qurk/internal/hit"
 )
 
@@ -73,6 +67,10 @@ type Stats struct {
 	Stored int `json:"stored"`
 	// Loaded counts entries replayed from the file at open.
 	Loaded int `json:"loaded"`
+	// PersistError is the first write or fsync failure on the backing
+	// file. Once set, the store keeps serving from memory but persists
+	// nothing more.
+	PersistError string `json:"persist_error,omitempty"`
 }
 
 // Store is a cross-query answer store. It satisfies core.AnswerStore, so
@@ -83,13 +81,10 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[uint64]entry
 	pol     Policy
-	file    *os.File
+	log     *framelog.Log // nil for a memory-only, closed or failed store
 	stats   Stats
 	now     func() time.Time
 }
-
-// frame header: payload length + CRC-32/IEEE of the payload.
-const headerSize = 8
 
 // Open opens (creating if needed) the store backed by the record file at
 // path, replaying existing records into memory and truncating a torn
@@ -104,68 +99,20 @@ func Open(path string, pol Policy) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("answerstore: open %s: %w", path, err)
-	}
-	good, err := s.replay(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Truncate a torn tail so the next append starts on a clean frame.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("answerstore: truncate %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("answerstore: seek %s: %w", path, err)
-	}
-	s.file = f
-	return s, nil
-}
-
-// replay reads frames from the start of f, loading each valid record and
-// returning the offset just past the last valid frame. Corruption — a
-// short header, an impossible length, a CRC mismatch, or undecodable
-// JSON — ends the replay at the preceding frame boundary (torn-tail
-// semantics, same as internal/wal).
-func (s *Store) replay(f *os.File) (int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("answerstore: stat: %w", err)
-	}
-	size := info.Size()
-	var off int64
-	hdr := make([]byte, headerSize)
-	for off+headerSize <= size {
-		if _, err := f.ReadAt(hdr, off); err != nil {
-			break
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		end := off + headerSize + int64(length)
-		if end > size {
-			break // torn payload
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, off+headerSize); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
+	log, err := framelog.Open(path, os.O_CREATE, func(payload []byte) error {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+			return err
 		}
 		s.entries[rec.Key] = entry{answers: rec.Answers, storedAt: rec.StoredAt}
 		s.stats.Loaded++
-		off = end
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("answerstore: open: %w", err)
 	}
-	s.stats.Entries = len(s.entries)
-	return off, nil
+	s.log = log
+	return s, nil
 }
 
 // servable reports whether e passes the policy gates at time now.
@@ -215,32 +162,19 @@ func (s *Store) Store(q *hit.Question, answers []hit.CachedAnswer) {
 	s.entries[key] = entry{answers: cp, storedAt: at}
 	s.stats.Stored++
 	s.stats.Entries = len(s.entries)
-	if s.file == nil {
+	if s.log == nil {
 		return
 	}
-	s.append(record{Key: key, Task: q.Task, Kind: uint8(q.Kind), StoredAt: at, Answers: cp})
-}
-
-// append frames and writes one record. Write errors are swallowed after
-// marking the file dead: the in-memory store keeps serving (losing
-// persistence is strictly better than failing queries mid-run).
-func (s *Store) append(rec record) {
-	payload, err := json.Marshal(rec)
+	payload, err := json.Marshal(record{Key: key, Task: q.Task, Kind: uint8(q.Kind), StoredAt: at, Answers: cp})
+	if err == nil {
+		err = s.log.Append(payload)
+	}
 	if err != nil {
-		return
-	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	if _, err := s.file.Write(buf); err != nil {
-		s.file.Close()
-		s.file = nil
-		return
-	}
-	if err := s.file.Sync(); err != nil {
-		s.file.Close()
-		s.file = nil
+		// Keep serving from memory — losing persistence is strictly
+		// better than failing queries mid-run — but visibly.
+		s.stats.PersistError = err.Error()
+		s.log.Close()
+		s.log = nil
 	}
 }
 
@@ -265,11 +199,11 @@ func (s *Store) Len() int {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.file == nil {
+	if s.log == nil {
 		return nil
 	}
-	err := s.file.Close()
-	s.file = nil
+	err := s.log.Close()
+	s.log = nil
 	return err
 }
 

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"qurk/internal/framelog"
 	"qurk/internal/hit"
 	"qurk/internal/relation"
 )
@@ -155,8 +157,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstLen := headerSize + int(binary.LittleEndian.Uint32(data[0:4]))
-	torn := data[:firstLen+headerSize+2]
+	firstLen := framelog.HeaderSize + int(binary.LittleEndian.Uint32(data[0:4]))
+	torn := data[:firstLen+framelog.HeaderSize+2]
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +250,28 @@ func TestCanonicalKeySharing(t *testing.T) {
 	s.Store(qa, votes(5, true))
 	if _, ok := s.Lookup(qb); !ok {
 		t.Fatal("reordered/qualified projection of identical content should hit")
+	}
+}
+
+func TestWriteFailureLatchesPersistError(t *testing.T) {
+	// Every write to /dev/full fails with ENOSPC, as on a full disk.
+	s, err := Open("/dev/full", Policy{})
+	if err != nil {
+		t.Skipf("no /dev/full to inject write failures: %v", err)
+	}
+	s.Store(question("t", "a"), votes(3, true))
+	first := s.Stats().PersistError
+	if !strings.Contains(first, "no space") {
+		t.Fatalf("PersistError = %q, want the ENOSPC write failure", first)
+	}
+	s.Store(question("t", "b"), votes(3, true))
+	if st := s.Stats(); st.PersistError != first || st.Stored != 2 {
+		t.Fatalf("Stats = %+v, want the first error latched and both answers stored", st)
+	}
+	if _, ok := s.Lookup(question("t", "b")); !ok {
+		t.Fatal("store stopped serving from memory after losing persistence")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a write failure: %v", err)
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"qurk/internal/framelog"
 )
 
 func TestObserveEstimateWeightedMean(t *testing.T) {
@@ -99,7 +102,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := make([]byte, headerSize)
+	hdr := make([]byte, framelog.HeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], 9999)
 	f.Write(hdr)
 	f.Write([]byte("partial"))
@@ -140,7 +143,7 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstLen := binary.LittleEndian.Uint32(data[0:4])
-	data[headerSize+int(firstLen)+headerSize] ^= 0xFF
+	data[framelog.HeaderSize+int(firstLen)+framelog.HeaderSize] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +199,28 @@ func TestConcurrentObserve(t *testing.T) {
 	v, w, ok := s.Estimate("task", KindSelectivity)
 	if !ok || v != 0.5 || w != 400 {
 		t.Fatalf("concurrent estimate = (%v, %v, %v), want (0.5, 400, true)", v, w, ok)
+	}
+}
+
+func TestWriteFailureLatchesPersistError(t *testing.T) {
+	// Every write to /dev/full fails with ENOSPC, as on a full disk.
+	s, err := Open("/dev/full")
+	if err != nil {
+		t.Skipf("no /dev/full to inject write failures: %v", err)
+	}
+	s.Observe("a", KindSelectivity, 0.25, 4)
+	first := s.Stats().PersistError
+	if !strings.Contains(first, "no space") {
+		t.Fatalf("PersistError = %q, want the ENOSPC write failure", first)
+	}
+	s.Observe("a", KindSelectivity, 0.75, 4)
+	if st := s.Stats(); st.PersistError != first || st.Observed != 2 {
+		t.Fatalf("Stats = %+v, want the first error latched and both observations kept", st)
+	}
+	if v, _, ok := s.Estimate("a", KindSelectivity); !ok || v != 0.5 {
+		t.Fatalf("Estimate = %v %v, want 0.5 served from memory", v, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a write failure: %v", err)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"qurk/internal/answerstore"
 )
 
 // startServer runs the service behind a real HTTP listener so the
@@ -181,6 +183,44 @@ func TestHTTPEndToEnd(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/store", &store)
 	if !store.Enabled || store.Stats.Entries == 0 || store.Stats.Hits == 0 {
 		t.Fatalf("store stats = %+v, want enabled with answers and hits", store)
+	}
+}
+
+// TestStoreWriteFailureDegrades: when the answer store can no longer
+// write its file, queries keep completing from memory, but the failure
+// is visible — GET /v1/store reports it and the service is degraded.
+func TestStoreWriteFailureDegrades(t *testing.T) {
+	// Every write to /dev/full fails with ENOSPC, as on a full disk.
+	store, err := answerstore.Open("/dev/full", answerstore.Policy{})
+	if err != nil {
+		t.Skipf("no /dev/full to inject write failures: %v", err)
+	}
+	srv, svc := startServer(t, 8, nil)
+	svc.cfg.Answers = store // read per submission, so no query sees the old store
+	if st := svc.Status(); st.State != "ok" {
+		t.Fatalf("status before any write = %s, want ok", st.State)
+	}
+
+	_, sn := postQuery(t, srv, `{"tenant":"alice","query":"`+isFemaleQuery+`"}`)
+	q, ok := svc.Get(sn.ID)
+	if !ok {
+		t.Fatalf("submitted query %q not found", sn.ID)
+	}
+	if st := waitTerminal(t, q); st != StateDone {
+		t.Fatalf("query = %s (%s), want done despite the failing store", st, q.Snapshot().Error)
+	}
+
+	var reply struct {
+		Stats answerstore.Stats `json:"stats"`
+	}
+	getJSON(t, srv.URL+"/v1/store", &reply)
+	if reply.Stats.Stored == 0 || !strings.Contains(reply.Stats.PersistError, "no space") {
+		t.Fatalf("store stats = %+v, want stored answers and an ENOSPC persist_error", reply.Stats)
+	}
+	var status Status
+	getJSON(t, srv.URL+"/v1/status", &status)
+	if status.State != "degraded" {
+		t.Fatalf("status = %+v, want degraded while the store cannot persist", status)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"qurk/internal/answerstore"
 	"qurk/internal/circuit"
 	"qurk/internal/core"
 	"qurk/internal/cost"
@@ -290,8 +291,9 @@ type BackendStatus struct {
 
 // Status is the service's operational snapshot (GET /v1/status).
 type Status struct {
-	// State is "ok", "degraded" (some circuit not closed), or
-	// "recovering" (journal replay still running).
+	// State is "ok", "degraded" (some circuit not closed, or the answer
+	// store lost persistence), or "recovering" (journal replay still
+	// running).
 	State      string                   `json:"state"`
 	Recovering bool                     `json:"recovering"`
 	Backends   map[string]BackendStatus `json:"backends"`
@@ -300,7 +302,8 @@ type Status struct {
 
 // Status reports service health: recovery progress and per-backend
 // circuit state. Degraded means at least one breaker is not closed —
-// queries are parked, not failing.
+// queries are parked, not failing — or the answer store can no longer
+// write its file and serves from memory only.
 func (s *Service) Status() Status {
 	s.mu.Lock()
 	st := Status{
@@ -322,6 +325,9 @@ func (s *Service) Status() Status {
 			}
 		}
 		st.Backends[name] = bs
+	}
+	if a, ok := s.cfg.Answers.(interface{ Stats() answerstore.Stats }); ok && a.Stats().PersistError != "" {
+		degraded = true
 	}
 	switch {
 	case st.Recovering:

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"qurk/internal/framelog"
 	"qurk/internal/relation"
 )
 
@@ -20,10 +20,9 @@ import (
 //	           uvarint len(name), name bytes
 //	frames   zero or more data frames
 //
-// Every frame — header included — is length-prefixed and checksummed
-// exactly like internal/wal's records:
+// Every frame — header included — is an internal/framelog frame:
 //
-//	[payloadLen uint32 LE][crc32(IEEE) uint32 LE][payload]
+//	[payloadLen uint32 LE][CRC-32 (IEEE) uint32 LE][payload]
 //
 // A data frame's payload holds up to frameRows rows column-major:
 //
@@ -72,8 +71,7 @@ type frameWriter struct {
 	w       io.Writer
 	ncols   int
 	pending []relation.Tuple
-	payload []byte // reused frame payload buffer
-	head    [8]byte
+	frame   []byte // reused frame buffer: header, then payload
 }
 
 // newFrameWriter writes the magic and schema header and returns a
@@ -83,7 +81,7 @@ func newFrameWriter(w io.Writer, schema *relation.Schema) (*frameWriter, error) 
 	if _, err := io.WriteString(w, runMagic); err != nil {
 		return nil, err
 	}
-	p := fw.payload[:0]
+	p := fw.startFrame()
 	p = binary.AppendUvarint(p, uint64(schema.Len()))
 	for i := 0; i < schema.Len(); i++ {
 		c := schema.Column(i)
@@ -91,20 +89,23 @@ func newFrameWriter(w io.Writer, schema *relation.Schema) (*frameWriter, error) 
 		p = binary.AppendUvarint(p, uint64(len(c.Name)))
 		p = append(p, c.Name...)
 	}
-	fw.payload = p
 	if err := fw.writeFrame(p); err != nil {
 		return nil, err
 	}
 	return fw, nil
 }
 
-func (fw *frameWriter) writeFrame(payload []byte) error {
-	binary.LittleEndian.PutUint32(fw.head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fw.head[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := fw.w.Write(fw.head[:]); err != nil {
-		return err
-	}
-	_, err := fw.w.Write(payload)
+// startFrame returns the reused frame buffer holding only room for the
+// header; the caller appends the payload after it.
+func (fw *frameWriter) startFrame() []byte {
+	return append(fw.frame[:0], make([]byte, framelog.HeaderSize)...)
+}
+
+// writeFrame frames, in place, the payload p holds after the room
+// startFrame reserved, and writes the frame.
+func (fw *frameWriter) writeFrame(p []byte) error {
+	fw.frame = framelog.AppendFrame(p[:0], p[framelog.HeaderSize:])
+	_, err := fw.w.Write(fw.frame)
 	return err
 }
 
@@ -122,7 +123,7 @@ func (fw *frameWriter) flush() error {
 	if len(fw.pending) == 0 {
 		return nil
 	}
-	p := fw.payload[:0]
+	p := fw.startFrame()
 	p = binary.AppendUvarint(p, uint64(len(fw.pending)))
 	for c := 0; c < fw.ncols; c++ {
 		for _, t := range fw.pending {
@@ -150,7 +151,7 @@ func (fw *frameWriter) flush() error {
 			default:
 				return fmt.Errorf("spill: unknown value kind %d", v.Kind())
 			}
-			if len(p) >= frameBytes && len(fw.pending) > 1 {
+			if len(p)-framelog.HeaderSize >= frameBytes && len(fw.pending) > 1 {
 				// Oversized strings: split the staged rows rather than
 				// growing the frame without bound. Re-encode the first
 				// half alone, then the rest.
@@ -165,7 +166,6 @@ func (fw *frameWriter) flush() error {
 			}
 		}
 	}
-	fw.payload = p
 	fw.pending = fw.pending[:0]
 	return fw.writeFrame(p)
 }
@@ -230,32 +230,19 @@ func newFrameReader(r io.Reader, schema *relation.Schema) (*frameReader, error) 
 	return fr, nil
 }
 
-// readFrame reads one [len][crc][payload] frame into the reused buffer.
-// It returns (nil, nil) at a clean end of stream.
+// readFrame reads one frame into the reused buffer. It returns
+// (nil, nil) at a clean end of stream; every other failure is
+// errCorrupt.
 func (fr *frameReader) readFrame() ([]byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(fr.r, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, corruptf("torn frame header: %v", err)
+	p, err := framelog.ReadFrame(fr.r, fr.buf, maxFramePayload)
+	if err == io.EOF {
+		return nil, nil
 	}
-	plen := binary.LittleEndian.Uint32(head[0:4])
-	sum := binary.LittleEndian.Uint32(head[4:8])
-	if plen > maxFramePayload {
-		return nil, corruptf("frame payload %d exceeds bound", plen)
+	if err != nil {
+		return nil, corruptf("%v", err)
 	}
-	if cap(fr.buf) < int(plen) {
-		fr.buf = make([]byte, plen)
-	}
-	fr.buf = fr.buf[:plen]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return nil, corruptf("torn frame payload: %v", err)
-	}
-	if crc32.ChecksumIEEE(fr.buf) != sum {
-		return nil, corruptf("frame CRC mismatch")
-	}
-	return fr.buf, nil
+	fr.buf = p
+	return p, nil
 }
 
 // decodeFrame parses one data frame into an arena of row tuples. The

@@ -1,7 +1,7 @@
 // Package wal is the durability layer for crowd queries: an
-// append-only, fsync-on-commit, length-prefixed record journal that the
-// engine writes at every marketplace boundary, plus the replay
-// machinery qurk.Resume uses to rebuild operator state after a crash.
+// append-only, fsync-on-commit record journal that the engine writes at
+// every marketplace boundary, plus the replay machinery qurk.Resume
+// uses to rebuild operator state after a crash.
 //
 // A crowd query spends real dollars per HIT and runs for hours; losing
 // in-flight state to a process crash must not re-pay for answers
@@ -13,27 +13,22 @@
 // UniqueRequestToken re-attach, the simulator by re-deriving the same
 // deterministic answers).
 //
-// Record framing (grown from internal/spill's run-file encoding, with
-// integrity added): a fixed 8-byte header — uint32 little-endian
-// payload length, then uint32 little-endian CRC-32 (IEEE) of the
-// payload — followed by the JSON payload. Every commit is fsynced
-// before the caller proceeds, so the journal never claims work that
-// was not durably recorded. A torn tail (partial header, short
-// payload, or CRC mismatch from a crash mid-write) is truncated on
-// Open, and recovery resumes from the last complete record.
+// Each record is one JSON payload in an internal/framelog frame. Every
+// commit is fsynced before the caller proceeds, so the journal never
+// claims work that was not durably recorded; a torn tail left by a
+// crash mid-write is truncated on Open, and recovery resumes from the
+// last complete record.
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 
 	"qurk/internal/crowd"
+	"qurk/internal/framelog"
 )
 
 // Record types, stored in each record's "t" field.
@@ -49,10 +44,6 @@ const (
 // SealComplete is the seal reason written when a durable run finishes
 // normally; any other reason marks an interrupted-but-clean shutdown.
 const SealComplete = "complete"
-
-// maxRecordBytes bounds a single record; a length prefix beyond it is
-// treated as tail corruption rather than an allocation request.
-const maxRecordBytes = 1 << 28 // 256 MiB
 
 // Meta identifies the query a journal belongs to. Resume refuses a
 // journal whose fingerprint does not match the query and engine
@@ -126,7 +117,7 @@ var ErrDiverged = errors.New("wal: resumed run diverged from journal")
 // concurrent use; every append is fsynced before it returns.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *framelog.Log // nil once closed
 	path string
 	meta Meta
 
@@ -147,27 +138,30 @@ type Journal struct {
 	reason  string
 }
 
+func newJournal(path string) *Journal {
+	return &Journal{
+		path:    path,
+		results: map[uint64][]*crowd.RunResult{},
+		pending: map[uint64]int{},
+		cps:     map[string][]checkpoint{},
+		charges: map[uint64]int{},
+	}
+}
+
 // Create starts a fresh journal at path, failing if one already
 // exists, and durably writes the meta record.
 func Create(path string, meta Meta) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	log, err := framelog.Open(path, os.O_CREATE|os.O_EXCL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
 	if meta.Version == 0 {
 		meta.Version = 1
 	}
-	j := &Journal{
-		f:       f,
-		path:    path,
-		meta:    meta,
-		results: map[uint64][]*crowd.RunResult{},
-		pending: map[uint64]int{},
-		cps:     map[string][]checkpoint{},
-		charges: map[uint64]int{},
-	}
+	j := newJournal(path)
+	j.log, j.meta = log, meta
 	if err := j.append(&record{T: recMeta, Meta: &meta}); err != nil {
-		f.Close()
+		log.Close()
 		os.Remove(path)
 		return nil, err
 	}
@@ -178,80 +172,32 @@ func Create(path string, meta Meta) (*Journal, error) {
 // by a crash mid-write, loads the replay state, and positions the file
 // for appending new records.
 func Open(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open: %w", err)
-	}
-	j := &Journal{
-		f:       f,
-		path:    path,
-		results: map[uint64][]*crowd.RunResult{},
-		pending: map[uint64]int{},
-		cps:     map[string][]checkpoint{},
-		charges: map[uint64]int{},
-	}
-	if err := j.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// load scans every complete record, building replay state, and
-// truncates the file at the first torn or corrupt record.
-func (j *Journal) load() error {
-	var off int64
-	var hdr [8]byte
+	j := newJournal(path)
 	sawMeta := false
-	for {
-		_, err := io.ReadFull(j.f, hdr[:])
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn header: crash mid-write. Recover to the last
-			// complete record.
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("wal: read: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecordBytes {
-			break // corrupt length — treat as torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break // torn payload
-			}
-			return fmt.Errorf("wal: read: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt payload
-		}
+	log, err := framelog.Open(path, 0, func(payload []byte) error {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // corrupt JSON despite CRC: treat as tail damage
+			return err
 		}
 		if !sawMeta && rec.T != recMeta {
-			return fmt.Errorf("wal: %s: first record is %q, not meta", j.path, rec.T)
+			return fmt.Errorf("first record is %q, not meta", rec.T)
+		}
+		if rec.T == recMeta && rec.Meta == nil {
+			return errors.New("meta record without meta")
 		}
 		j.apply(&rec)
 		sawMeta = true
-		off += int64(8 + length)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: %w", err)
 	}
 	if !sawMeta {
-		return fmt.Errorf("wal: %s: no complete meta record", j.path)
+		log.Close()
+		return nil, fmt.Errorf("wal: %s: no complete meta record", path)
 	}
-	if err := j.f.Truncate(off); err != nil {
-		return fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	return nil
+	j.log = log
+	return j, nil
 }
 
 // apply folds one recovered record into the replay state.
@@ -292,25 +238,13 @@ func (j *Journal) append(rec *record) error {
 	if err != nil {
 		return fmt.Errorf("wal: encode: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("wal: record too large (%d bytes)", len(payload))
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return errors.New("wal: journal closed")
 	}
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if _, err := j.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	if err := j.log.Append(payload); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }
@@ -464,11 +398,11 @@ func (j *Journal) Seal(reason string) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 
