@@ -57,9 +57,33 @@ func TestPinnedStoreFileReplays(t *testing.T) {
 		t.Fatalf("Stats = %+v, want 4 loaded into 3 entries", st)
 	}
 	want := writeFormatFixture(t, filepath.Join(t.TempDir(), "live.log"))
-	if !reflect.DeepEqual(s.entries, want.entries) {
-		t.Fatalf("replayed entries %+v, want %+v", s.entries, want.entries)
+	got := contents(s)
+	if want := contents(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed entries %+v, want %+v", got, want)
 	}
+	for key, sv := range got {
+		if !sv.storedAt.Equal(time.Unix(1700000000, 0)) {
+			t.Fatalf("key %x stored at %v, want the fixture clock", key, sv.storedAt)
+		}
+	}
+}
+
+// keyState is one key's Lookup result and store time.
+type keyState struct {
+	answers  []hit.CachedAnswer
+	storedAt time.Time
+}
+
+// contents returns what s serves under every key it holds.
+func contents(s *Store) map[uint64]keyState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[uint64]keyState, len(s.entries))
+	for key, e := range s.entries {
+		as, _ := s.lookup(key)
+		out[key] = keyState{answers: as, storedAt: time.Unix(0, e.storedAt)}
+	}
+	return out
 }
 
 func TestStoreBytesMatchPinnedFormat(t *testing.T) {

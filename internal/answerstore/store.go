@@ -17,9 +17,12 @@
 package answerstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +43,30 @@ type Policy struct {
 	MaxAge time.Duration
 }
 
-// entry is one stored question's votes plus its freshness timestamp.
+// entry locates one stored question's votes in the arena: Store.votes
+// [off, off+n), stored at storedAt (Unix nanoseconds).
 type entry struct {
-	answers  []hit.CachedAnswer
-	storedAt time.Time
+	off, n   uint32
+	storedAt int64
+}
+
+// vote is one worker's answer in packed form. worker indexes the
+// interned worker IDs and payload the interned Fields/Pairs/Order
+// triples; Bool and Rating sit inline. A vote holds no pointers, so the
+// arena of every vote ever stored costs the GC nothing to scan.
+type vote struct {
+	worker  uint32
+	payload uint32
+	rating  int32
+	yes     bool
+}
+
+// payload is one interned Fields/Pairs/Order triple, shared read-only
+// by every stored vote and served answer that carries that content.
+type payload struct {
+	fields map[string]string
+	pairs  [][2]int
+	order  []int
 }
 
 // record is the on-disk JSON payload for one Store call.
@@ -77,13 +100,31 @@ type Stats struct {
 // plugging it into an Engine's Answers slot routes every crowd operator's
 // question minting through it. All methods are safe for concurrent use
 // by any number of queries.
+//
+// In memory the votes are packed: entries index one append-only arena
+// of pointer-free votes, worker IDs and answer payloads are interned
+// once each, and a question's votes are decoded back into
+// hit.CachedAnswers only on its first servable Lookup and memoized
+// from then on. Memory grows linearly in distinct questions, at about
+// 16 bytes per stored vote plus the map slot.
 type Store struct {
 	mu      sync.Mutex
 	entries map[uint64]entry
-	pol     Policy
-	log     *framelog.Log // nil for a memory-only, closed or failed store
-	stats   Stats
-	now     func() time.Time
+	// votes is the arena. A replacement that fits reuses its entry's
+	// slot; a larger one appends. Offsets are 32-bit: 2^32 votes would
+	// take 64 GiB.
+	votes     []vote
+	workers   []string // interned worker IDs, indexed by vote.worker
+	workerIx  map[string]uint32
+	payloads  []payload // interned payloads; [0] is all nil
+	payloadIx map[string]uint32
+	// served memoizes each served entry's decoded votes, so repeat
+	// hits allocate nothing. Store drops a key's memo on replacement.
+	served map[uint64][]hit.CachedAnswer
+	pol    Policy
+	log    *framelog.Log // nil for a memory-only, closed or failed store
+	stats  Stats
+	now    func() time.Time
 }
 
 // Open opens (creating if needed) the store backed by the record file at
@@ -92,9 +133,13 @@ type Store struct {
 // lives as long as the process — useful for tests and single-run CLIs.
 func Open(path string, pol Policy) (*Store, error) {
 	s := &Store{
-		entries: make(map[uint64]entry),
-		pol:     pol,
-		now:     time.Now,
+		entries:   make(map[uint64]entry),
+		workerIx:  make(map[string]uint32),
+		payloads:  make([]payload, 1),
+		payloadIx: make(map[string]uint32),
+		served:    make(map[uint64][]hit.CachedAnswer),
+		pol:       pol,
+		now:       time.Now,
 	}
 	if path == "" {
 		return s, nil
@@ -104,7 +149,7 @@ func Open(path string, pol Policy) (*Store, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		s.entries[rec.Key] = entry{answers: rec.Answers, storedAt: rec.StoredAt}
+		s.put(rec.Key, rec.StoredAt.UnixNano(), rec.Answers, payloadKeys(rec.Answers))
 		s.stats.Loaded++
 		return nil
 	})
@@ -117,13 +162,13 @@ func Open(path string, pol Policy) (*Store, error) {
 
 // servable reports whether e passes the policy gates at time now.
 func (s *Store) servable(e entry, now time.Time) bool {
-	if len(e.answers) == 0 {
+	if e.n == 0 {
 		return false
 	}
-	if s.pol.MinAgreement > 0 && len(e.answers) < s.pol.MinAgreement {
+	if s.pol.MinAgreement > 0 && int(e.n) < s.pol.MinAgreement {
 		return false
 	}
-	if s.pol.MaxAge > 0 && now.Sub(e.storedAt) > s.pol.MaxAge {
+	if s.pol.MaxAge > 0 && now.UnixNano()-e.storedAt > int64(s.pol.MaxAge) {
 		return false
 	}
 	return true
@@ -131,18 +176,41 @@ func (s *Store) servable(e entry, now time.Time) bool {
 
 // Lookup returns the stored votes for a question if a servable entry
 // exists under the policy (enough votes, fresh enough). The returned
-// slice is shared — callers must not mutate it.
+// slice is shared — callers must not mutate it — and its answers carry
+// no QuestionID: the question that paid for them is not the asker's.
 func (s *Store) Lookup(q *hit.Question) ([]hit.CachedAnswer, bool) {
 	key := q.CacheKey()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if ok && s.servable(e, s.now()) {
+	if as, ok := s.lookup(key); ok {
 		s.stats.Hits++
-		return e.answers, true
+		return as, true
 	}
 	s.stats.Misses++
 	return nil, false
+}
+
+// lookup returns key's decoded votes if its entry is servable, decoding
+// and memoizing them on the first hit. Callers hold s.mu.
+func (s *Store) lookup(key uint64) ([]hit.CachedAnswer, bool) {
+	e, ok := s.entries[key]
+	if !ok || !s.servable(e, s.now()) {
+		return nil, false
+	}
+	if as, ok := s.served[key]; ok {
+		return as, true
+	}
+	as := make([]hit.CachedAnswer, e.n)
+	for i, v := range s.votes[e.off : e.off+e.n] {
+		p := &s.payloads[v.payload]
+		as[i] = hit.CachedAnswer{
+			WorkerID: s.workers[v.worker],
+			Answer: hit.Answer{Bool: v.yes, Rating: int(v.rating),
+				Fields: p.fields, Pairs: p.pairs, Order: p.order},
+		}
+	}
+	s.served[key] = as
+	return as, true
 }
 
 // Store records votes for a question, replacing any prior entry, and
@@ -153,19 +221,18 @@ func (s *Store) Store(q *hit.Question, answers []hit.CachedAnswer) {
 	if len(answers) == 0 {
 		return
 	}
-	cp := make([]hit.CachedAnswer, len(answers))
-	copy(cp, answers)
 	key := q.CacheKey()
+	pkeys := payloadKeys(answers)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	at := s.now()
-	s.entries[key] = entry{answers: cp, storedAt: at}
+	s.put(key, at.UnixNano(), answers, pkeys)
 	s.stats.Stored++
 	s.stats.Entries = len(s.entries)
 	if s.log == nil {
 		return
 	}
-	payload, err := json.Marshal(record{Key: key, Task: q.Task, Kind: uint8(q.Kind), StoredAt: at, Answers: cp})
+	payload, err := json.Marshal(record{Key: key, Task: q.Task, Kind: uint8(q.Kind), StoredAt: at, Answers: answers})
 	if err == nil {
 		err = s.log.Append(payload)
 	}
@@ -176,6 +243,118 @@ func (s *Store) Store(q *hit.Question, answers []hit.CachedAnswer) {
 		s.log.Close()
 		s.log = nil
 	}
+}
+
+// put packs answers into the arena as key's entry, overwriting the old
+// slot in place when the new votes fit. pkeys holds each answer's
+// payloadKey (nil when every payload is nil). Callers hold s.mu or own s.
+func (s *Store) put(key uint64, at int64, answers []hit.CachedAnswer, pkeys []string) {
+	n := uint32(len(answers))
+	e, ok := s.entries[key]
+	if !ok || n > e.n {
+		e.off = uint32(len(s.votes))
+		s.votes = append(s.votes, make([]vote, n)...)
+	}
+	slot := s.votes[e.off : e.off+n]
+	for i := range answers {
+		a := &answers[i]
+		var p uint32
+		if pkeys != nil && pkeys[i] != "" {
+			p = s.internPayload(pkeys[i], &a.Answer)
+		}
+		slot[i] = vote{worker: s.internWorker(a.WorkerID), payload: p,
+			rating: int32(a.Answer.Rating), yes: a.Answer.Bool}
+	}
+	s.entries[key] = entry{off: e.off, n: n, storedAt: at}
+	delete(s.served, key)
+}
+
+// internWorker returns id's index in the worker table, adding it if new.
+func (s *Store) internWorker(id string) uint32 {
+	ix, ok := s.workerIx[id]
+	if !ok {
+		ix = uint32(len(s.workers))
+		s.workers = append(s.workers, id)
+		s.workerIx[id] = ix
+	}
+	return ix
+}
+
+// internPayload returns the index of the payload whose content key is k,
+// adding a private copy of a's Fields, Pairs and Order if new.
+func (s *Store) internPayload(k string, a *hit.Answer) uint32 {
+	ix, ok := s.payloadIx[k]
+	if !ok {
+		ix = uint32(len(s.payloads))
+		s.payloads = append(s.payloads, payload{
+			fields: maps.Clone(a.Fields), pairs: slices.Clone(a.Pairs), order: slices.Clone(a.Order)})
+		s.payloadIx[k] = ix
+	}
+	return ix
+}
+
+// payloadKeys returns each answer's payloadKey, or nil when every
+// answer's payload is nil (all filter, join-pair and rating votes).
+func payloadKeys(as []hit.CachedAnswer) []string {
+	var keys []string
+	for i := range as {
+		if k := payloadKey(&as[i].Answer); k != "" {
+			if keys == nil {
+				keys = make([]string, len(as))
+			}
+			keys[i] = k
+		}
+	}
+	return keys
+}
+
+// payloadKey encodes a's Fields (in name order), Pairs and Order by
+// content, or returns "" when all three are nil. Each part is tagged
+// present or nil, so an empty Pairs — the grid's "no matches" — keys
+// apart from a nil one.
+func payloadKey(a *hit.Answer) string {
+	if a.Fields == nil && a.Pairs == nil && a.Order == nil {
+		return ""
+	}
+	var buf [64]byte
+	b := buf[:0]
+	tag := func(present bool, n int) bool {
+		if !present {
+			b = append(b, 0)
+			return false
+		}
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(n))
+		return true
+	}
+	str := func(v string) {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	if tag(a.Fields != nil, len(a.Fields)) {
+		var nameBuf [8]string
+		names := nameBuf[:0]
+		for name := range a.Fields {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			str(name)
+			str(a.Fields[name])
+		}
+	}
+	if tag(a.Pairs != nil, len(a.Pairs)) {
+		for _, p := range a.Pairs {
+			b = binary.AppendVarint(b, int64(p[0]))
+			b = binary.AppendVarint(b, int64(p[1]))
+		}
+	}
+	if tag(a.Order != nil, len(a.Order)) {
+		for _, o := range a.Order {
+			b = binary.AppendVarint(b, int64(o))
+		}
+	}
+	return string(b)
 }
 
 // Stats returns a snapshot of store traffic.

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,9 +90,7 @@ func TestMinAgreementPolicy(t *testing.T) {
 		t.Fatal("2 votes below MinAgreement=3 must miss")
 	}
 	s.Store(q, votes(3, true))
-	if _, ok := s.Lookup(q); !ok {
-		t.Fatal("3 votes should hit")
-	}
+	mustServe(t, s, q, votes(3, true))
 }
 
 func TestMaxAgePolicy(t *testing.T) {
@@ -100,18 +101,14 @@ func TestMaxAgePolicy(t *testing.T) {
 
 	q := question("t", "x")
 	s.Store(q, votes(5, true))
-	if _, ok := s.Lookup(q); !ok {
-		t.Fatal("fresh entry should hit")
-	}
+	mustServe(t, s, q, votes(5, true))
 	now = base.Add(2 * time.Hour)
 	if _, ok := s.Lookup(q); ok {
-		t.Fatal("stale entry should miss")
+		t.Fatal("stale entry should miss, memoized or not")
 	}
 	// Restoring overwrites the stale entry.
 	s.Store(q, votes(5, false))
-	if got, ok := s.Lookup(q); !ok || got[0].Answer.Bool {
-		t.Fatal("restored entry should hit with new votes")
-	}
+	mustServe(t, s, q, votes(5, false))
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
@@ -273,5 +270,209 @@ func TestWriteFailureLatchesPersistError(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after a write failure: %v", err)
+	}
+}
+
+// servedAs is what Lookup must return for stored answers: the same
+// votes with QuestionID cleared.
+func servedAs(in []hit.CachedAnswer) []hit.CachedAnswer {
+	out := make([]hit.CachedAnswer, len(in))
+	copy(out, in)
+	for i := range out {
+		out[i].Answer.QuestionID = ""
+	}
+	return out
+}
+
+// mustServe fails unless s serves exactly servedAs(want) for q.
+func mustServe(t *testing.T, s *Store, q *hit.Question, want []hit.CachedAnswer) {
+	t.Helper()
+	got, ok := s.Lookup(q)
+	if !ok {
+		t.Fatalf("%s: miss, want %d votes", q.ID, len(want))
+	}
+	if w := servedAs(want); !reflect.DeepEqual(got, w) {
+		t.Fatalf("%s: served %#v, want %#v", q.ID, got, w)
+	}
+}
+
+// kindCases holds one vote set per answer kind, with nil and empty
+// payloads kept apart.
+var kindCases = []struct {
+	name    string
+	kind    hit.Kind
+	answers []hit.CachedAnswer
+}{
+	{"filter", hit.FilterQ, []hit.CachedAnswer{
+		{WorkerID: "w1", Answer: hit.Answer{QuestionID: "q/1", Bool: true}},
+		{WorkerID: "w2", Answer: hit.Answer{QuestionID: "q/1"}},
+	}},
+	{"join-pair", hit.JoinPairQ, []hit.CachedAnswer{
+		{WorkerID: "w2", Answer: hit.Answer{QuestionID: "q/2", Bool: true}},
+		{WorkerID: "w3", Answer: hit.Answer{QuestionID: "q/2", Bool: true}},
+	}},
+	{"rate", hit.RateQ, []hit.CachedAnswer{
+		{WorkerID: "w1", Answer: hit.Answer{QuestionID: "q/3", Rating: 1}},
+		{WorkerID: "w4", Answer: hit.Answer{QuestionID: "q/3", Rating: 7}},
+	}},
+	{"generative", hit.GenerativeQ, []hit.CachedAnswer{
+		{WorkerID: "w1", Answer: hit.Answer{QuestionID: "q/4", Fields: map[string]string{"color": "red", "size": "big"}}},
+		{WorkerID: "w2", Answer: hit.Answer{QuestionID: "q/4", Fields: map[string]string{}}},
+		{WorkerID: "w3", Answer: hit.Answer{QuestionID: "q/4"}},
+		{WorkerID: "w4", Answer: hit.Answer{QuestionID: "q/4", Fields: map[string]string{"size": "big", "color": "red"}}},
+	}},
+	{"join-grid", hit.JoinGridQ, []hit.CachedAnswer{
+		{WorkerID: "w1", Answer: hit.Answer{QuestionID: "q/5", Pairs: [][2]int{{0, 1}, {2, 3}}}},
+		{WorkerID: "w2", Answer: hit.Answer{QuestionID: "q/5", Pairs: [][2]int{}}},
+		{WorkerID: "w3", Answer: hit.Answer{QuestionID: "q/5"}},
+	}},
+	{"compare", hit.CompareQ, []hit.CachedAnswer{
+		{WorkerID: "w5", Answer: hit.Answer{QuestionID: "q/6", Order: []int{2, 0, 1}}},
+		{WorkerID: "w1", Answer: hit.Answer{QuestionID: "q/6", Order: []int{}}},
+	}},
+}
+
+func TestRoundTripEveryAnswerKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "answers.log")
+	s, err := Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]*hit.Question, len(kindCases))
+	for i, c := range kindCases {
+		qs[i] = question(c.name, "img")
+		qs[i].Kind = c.kind
+		s.Store(qs[i], c.answers)
+	}
+	for i, c := range kindCases {
+		t.Run(c.name, func(t *testing.T) { mustServe(t, s, qs[i], c.answers) })
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i, c := range kindCases {
+		t.Run(c.name+"/reopened", func(t *testing.T) { mustServe(t, s2, qs[i], c.answers) })
+	}
+}
+
+func TestAnswerFieldsAllPacked(t *testing.T) {
+	// The packed vote keeps Bool and Rating inline and Fields, Pairs and
+	// Order in the payload table; QuestionID is dropped. A new Answer
+	// field must be packed too, or Lookup silently loses it.
+	var names []string
+	typ := reflect.TypeOf(hit.Answer{})
+	for i := 0; i < typ.NumField(); i++ {
+		names = append(names, typ.Field(i).Name)
+	}
+	if got := strings.Join(names, ","); got != "QuestionID,Bool,Fields,Pairs,Order,Rating" {
+		t.Fatalf("hit.Answer fields are %s; pack the new ones into vote or payload", got)
+	}
+}
+
+func TestReplacementFewerAndMoreVotes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "answers.log")
+	s, err := Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := question("t", "a"), question("t", "b")
+	s.Store(a, votes(5, true))
+	s.Store(b, votes(3, false))
+	mustServe(t, s, a, votes(5, true))
+
+	fewer := votes(2, false)
+	s.Store(a, fewer) // fits: overwrites a's slot in place
+	mustServe(t, s, a, fewer)
+	mustServe(t, s, b, votes(3, false))
+
+	more := kindCases[3].answers // 4 generative votes into a 2-vote slot
+	s.Store(a, more)
+	mustServe(t, s, a, more)
+	mustServe(t, s, b, votes(3, false))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	mustServe(t, s2, a, more)
+	mustServe(t, s2, b, votes(3, false))
+}
+
+func TestIdenticalPayloadsDecodeEqual(t *testing.T) {
+	s, _ := Open("", Policy{})
+	mk := func() []hit.CachedAnswer {
+		return []hit.CachedAnswer{
+			{WorkerID: "w1", Answer: hit.Answer{Fields: map[string]string{"color": "red"}, Pairs: [][2]int{{1, 2}}}},
+			{WorkerID: "w2", Answer: hit.Answer{Order: []int{1, 0}}},
+		}
+	}
+	a, b := question("t", "a"), question("t", "b")
+	s.Store(a, mk())
+	s.Store(b, mk())
+	got, _ := s.Lookup(a)
+	want, _ := s.Lookup(b)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, mk()) {
+		t.Fatalf("identical payloads decode to %#v and %#v, want %#v", got, want, mk())
+	}
+	if n := len(s.payloads); n != 3 {
+		t.Fatalf("payload table holds %d entries, want 3 (nil + two distinct)", n)
+	}
+}
+
+func TestRepeatLookupAllocatesNothing(t *testing.T) {
+	s, _ := Open("", Policy{MinAgreement: 2, MaxAge: time.Hour})
+	q := question("t", "x")
+	s.Store(q, kindCases[3].answers)
+	if _, ok := s.Lookup(q); !ok {
+		t.Fatal("stored entry should hit")
+	}
+	// Hashing the question's content may allocate; serving must not.
+	hashing := testing.AllocsPerRun(100, func() { q.CacheKey() })
+	if n := testing.AllocsPerRun(100, func() { s.Lookup(q) }) - hashing; n != 0 {
+		t.Fatalf("repeat Lookup of a served key allocates %v times beyond CacheKey, want 0", n)
+	}
+}
+
+func TestFootprintPerEntry(t *testing.T) {
+	const entries, perEntry, workers = 10000, 5, 50
+	qs := make([]*hit.Question, entries)
+	for i := range qs {
+		qs[i] = question("isFemale", strconv.Itoa(i))
+		qs[i].CacheKey()
+	}
+	ids := make([]string, workers)
+	for i := range ids {
+		ids[i] = "worker-" + strconv.Itoa(i)
+	}
+	vs := make([]hit.CachedAnswer, perEntry)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, _ := Open("", Policy{})
+	for i, q := range qs {
+		for j := range vs {
+			vs[j] = hit.CachedAnswer{WorkerID: ids[(i+j)%workers],
+				Answer: hit.Answer{QuestionID: q.ID, Bool: (i+j)%3 == 0}}
+		}
+		s.Store(q, vs)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(qs)
+	perEntryBytes := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / entries
+	t.Logf("%d B of live heap per %d-vote entry", perEntryBytes, perEntry)
+	if perEntryBytes > 200 {
+		t.Fatalf("store holds %d B per %d-vote entry, want ≤ 200", perEntryBytes, perEntry)
 	}
 }

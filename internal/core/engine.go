@@ -381,6 +381,9 @@ type JournalSink interface {
 type AnswerStore interface {
 	// Lookup returns stored votes for a question with identical content
 	// (Question.CacheKey), if the store's policy allows serving them.
+	// The returned slice and the answers' maps and slices may be shared
+	// with other callers: they are read-only. Served answers need not
+	// carry a QuestionID; votes are keyed by the asking question.
 	Lookup(q *hit.Question) ([]hit.CachedAnswer, bool)
 	// Store records a completed question's votes for future lookups.
 	Store(q *hit.Question, answers []hit.CachedAnswer)

@@ -65,6 +65,20 @@ func (l *Ledger) Entries() []Entry {
 	return out
 }
 
+// DollarsFor sums the dollar cost of the entries labelled label, in
+// entry order, without copying the ledger.
+func (l *Ledger) DollarsFor(label string) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var d float64
+	for _, e := range l.entries {
+		if e.Label == label {
+			d += e.Dollars()
+		}
+	}
+	return d
+}
+
 // TotalHITs sums HITs across entries.
 func (l *Ledger) TotalHITs() int {
 	l.mu.Lock()

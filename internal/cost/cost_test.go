@@ -38,3 +38,25 @@ func TestLedger(t *testing.T) {
 		t.Errorf("entries = %d", len(l.Entries()))
 	}
 }
+
+func TestDollarsForSumsInEntryOrder(t *testing.T) {
+	l := NewLedger()
+	for i := 0; i < 50; i++ {
+		l.Add("q1", 1+i%7, 3)
+		l.Add("q2", 2, 5)
+	}
+	// The same loop the per-label sum replaced, so the float is
+	// bit-identical to what tenants are billed per query.
+	var want float64
+	for _, e := range l.Entries() {
+		if e.Label == "q1" {
+			want += e.Dollars()
+		}
+	}
+	if got := l.DollarsFor("q1"); got != want {
+		t.Errorf("DollarsFor(q1) = %v, want %v", got, want)
+	}
+	if got := l.DollarsFor("absent"); got != 0 {
+		t.Errorf("DollarsFor(absent) = %v, want 0", got)
+	}
+}

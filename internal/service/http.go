@@ -227,11 +227,7 @@ func (s *Service) handleRows(w http.ResponseWriter, r *http.Request, q *Query) {
 		// The client went away mid-stream; nothing more to write.
 		return
 	}
-	final := rowLine{State: st, Rows: n}
-	if sn := q.Snapshot(); sn.Error != "" {
-		final.Error = sn.Error
-	}
-	_ = enc.Encode(final)
+	_ = enc.Encode(rowLine{State: st, Rows: n, Error: q.errText()})
 }
 
 // handleStore reports the shared answer store's statistics.

@@ -579,13 +579,17 @@ func (q *Query) ledgerDollars() float64 {
 	if t == nil {
 		return 0
 	}
-	var d float64
-	for _, e := range t.Ledger.Entries() {
-		if e.Label == q.ID {
-			d += e.Dollars()
-		}
+	return t.Ledger.DollarsFor(q.ID)
+}
+
+// errText returns the query's error message, or "" if it has none.
+func (q *Query) errText() string {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.err == nil {
+		return ""
 	}
-	return d
+	return q.err.Error()
 }
 
 // Stats returns the run's exec stats once terminal (nil before).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -340,5 +341,51 @@ func TestMuxMultiplexesBackend(t *testing.T) {
 	a := <-m.RunAsync(&hit.Group{ID: "late"})
 	if a.Err == nil {
 		t.Fatal("closed mux accepted a group")
+	}
+}
+
+// TestSnapshotCostIndependentOfLedgerSize guards the per-query dollar
+// sum: a status poll must not copy the tenant's whole ledger, whose
+// length grows with every query the tenant ever ran.
+func TestSnapshotCostIndependentOfLedgerSize(t *testing.T) {
+	svc, _ := newTestService(t, 12, map[string]float64{"alice": 100})
+	q, err := svc.Submit(SubmitRequest{Tenant: "alice", Query: isFemaleQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, q); st != StateDone {
+		t.Fatalf("query = %s, want done", st)
+	}
+	ledger := svc.tenants.Get("alice").Ledger
+	want := q.Snapshot().Dollars
+	// perCall measures Snapshot's allocations and allocated bytes.
+	perCall := func() (allocs, bytes float64) {
+		const runs = 100
+		allocs = testing.AllocsPerRun(runs, func() { q.Snapshot() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			q.Snapshot()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	grow := func(n int) {
+		for i := len(ledger.Entries()); i < n; i++ {
+			ledger.Add("other-query", 1, 3)
+		}
+	}
+	grow(10)
+	smallAllocs, smallBytes := perCall()
+	grow(10000)
+	bigAllocs, bigBytes := perCall()
+	// A copy of 10,000 entries would be hundreds of KiB per call; the
+	// slack only absorbs allocations by the service's own goroutines.
+	if bigAllocs != smallAllocs || bigBytes > 2*smallBytes+1024 {
+		t.Fatalf("Snapshot costs %v allocs, %.0f B with 10 ledger entries but %v allocs, %.0f B with 10,000",
+			smallAllocs, smallBytes, bigAllocs, bigBytes)
+	}
+	if got := q.Snapshot().Dollars; got != want {
+		t.Fatalf("Dollars = %v after other queries' charges, want %v", got, want)
 	}
 }
