@@ -1,12 +1,11 @@
-// The Client API: one configured handle for running crowd queries.
+// The Client API: the one public way to run a crowd query.
 //
-// Client replaces the loose RunQuery / RunQueryDurable / Resume
-// function family: construct it once over a marketplace with
-// functional options (engine knobs, a shared catalog and task
-// library, a write-ahead journal for durable runs, a dollar budget, a
-// shared cross-query answer store), then Run, RunStream, Resume,
-// Optimize, and Explain queries against it. The old functions remain
-// as thin wrappers for compatibility.
+// Construct a Client once over a marketplace with functional options
+// (engine knobs, a shared catalog and task library, a write-ahead
+// journal for durable runs, a dollar budget, a shared cross-query
+// answer store), then Run, RunStream, Resume, Optimize, and Explain
+// queries against it. RunPlan executes a plan the caller already
+// holds, such as a CostedPlan's Root.
 package qurk
 
 import (
@@ -19,6 +18,7 @@ import (
 	"qurk/internal/cost"
 	"qurk/internal/exec"
 	"qurk/internal/obstats"
+	"qurk/internal/plan"
 	"qurk/internal/relation"
 	"qurk/internal/service"
 	"qurk/internal/wal"
@@ -164,8 +164,9 @@ func WithReplan(minQuality float64) ClientOption {
 	}
 }
 
-// WithJournal makes runs durable: Run records every marketplace
-// interaction into a fresh write-ahead journal at path, and Resume
+// WithJournal makes runs durable: Run and RunStream record every
+// marketplace interaction and breaker checkpoint into a fresh
+// write-ahead journal at path (which must not exist yet), and Resume
 // picks an interrupted run back up with zero duplicate HIT posting.
 func WithJournal(path string) ClientOption {
 	return func(c *clientConfig) { c.journal = path }
@@ -229,47 +230,152 @@ func (c *Client) SpentDollars() float64 {
 	return c.budget.SpentDollars()
 }
 
-// Run executes one query. With WithJournal the run is durable (see
-// RunQueryDurable); otherwise it is a plain cancellable run.
+// Run executes one query. With WithJournal the run is durable: if the
+// process crashes — or ctx is cancelled — partway through, Resume
+// with the same configuration and query picks the run back up. On
+// success the journal is sealed "complete"; on error it is sealed with
+// the reason and remains resumable.
 func (c *Client) Run(ctx context.Context, src string) (*Relation, *ExecStats, error) {
-	if c.journal != "" {
-		return runDurable(ctx, c.eng, src, c.journal)
-	}
-	return exec.RunQueryContext(ctx, c.eng, src)
+	return c.RunStream(ctx, src, nil)
 }
 
 // RunStream executes one query, delivering result batches to sink as
 // the executor produces them; the materialized relation is still
 // returned. Durable journaling applies as in Run.
 func (c *Client) RunStream(ctx context.Context, src string, sink StreamSink) (*Relation, *ExecStats, error) {
-	if c.journal != "" {
-		j, err := wal.Create(c.journal, journalMeta(c.eng, src))
-		if err != nil {
-			return nil, nil, err
-		}
-		return runJournaledStream(ctx, c.eng, src, j, sink)
+	if c.journal == "" {
+		return run(ctx, c.eng, src, sink)
 	}
-	return exec.RunQueryStreamContext(ctx, c.eng, src, sink)
+	j, err := wal.Create(c.journal, wal.Meta{
+		Query:       src,
+		Backend:     c.backend(),
+		Fingerprint: c.fingerprint(src),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.runJournaled(ctx, src, j, sink)
 }
 
-// Resume continues an interrupted durable run from the client's
-// journal; it requires WithJournal.
+// Resume re-executes a durable run from the client's journal; it
+// requires WithJournal. Recorded group results replay from disk
+// without touching the marketplace, breaker checkpoints are verified
+// (ErrJournalDiverged on mismatch), and execution continues live from
+// the last consistent frontier. Groups whose intent committed but
+// whose result did not are re-posted, which both backends absorb
+// idempotently (MTurk re-attaches to still-live HITs by
+// UniqueRequestToken; the simulator re-derives the same deterministic
+// answers). The client must be configured as for the original run —
+// same query, options, and backend kind — or Resume refuses the
+// journal. Resuming a journal sealed "complete" replays the whole run
+// and returns the same result.
 func (c *Client) Resume(ctx context.Context, src string) (*Relation, *ExecStats, error) {
 	if c.journal == "" {
 		return nil, nil, fmt.Errorf("qurk: Resume needs a journal (configure the client with WithJournal)")
 	}
-	return resumeJournal(ctx, c.eng, src, c.journal)
+	j, err := wal.Open(c.journal)
+	if err != nil {
+		return nil, nil, err
+	}
+	if got, want := j.Meta().Fingerprint, c.fingerprint(src); got != want {
+		j.Close()
+		return nil, nil, fmt.Errorf("qurk: journal %s was written by a different query or engine configuration (fingerprint %#x, want %#x)", c.journal, got, want)
+	}
+	return c.runJournaled(ctx, src, j, nil)
 }
 
-// Optimize runs the cost-based operator-selection pass for one query
-// (budgetDollars 0 = unconstrained).
+// backend names the client's marketplace in its journals: its Go type.
+func (c *Client) backend() string { return fmt.Sprintf("%T", c.eng.Market) }
+
+// fingerprint is what a journal must match to be replayable into a
+// run of src on this client.
+func (c *Client) fingerprint(src string) uint64 {
+	return service.Fingerprint(src, c.eng.Options, c.backend())
+}
+
+// runJournaled runs src on a shallow engine copy whose marketplace is
+// wrapped with the journal, then seals and closes the journal. The
+// copy shares the client's ledger and cache, so accounting lands where
+// it always does.
+func (c *Client) runJournaled(ctx context.Context, src string, j *wal.Journal, sink StreamSink) (*Relation, *ExecStats, error) {
+	defer j.Close()
+	e := *c.eng
+	e.Market = wal.NewMarket(c.eng.Market, j)
+	e.Journal = j
+	out, st, err := run(ctx, &e, src, sink)
+	if err != nil {
+		// Best effort: the journal is already consistent record by
+		// record; the seal only annotates why the run stopped.
+		_ = j.Seal("interrupted: " + err.Error())
+		return nil, st, err
+	}
+	if serr := j.Seal(wal.SealComplete); serr != nil {
+		return out, st, serr
+	}
+	return out, st, nil
+}
+
+// run parses and plans src against e's task library, then executes it.
+func run(ctx context.Context, e *Engine, src string, sink StreamSink) (*Relation, *ExecStats, error) {
+	root, err := plan.BuildQuery(src, e.Library)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec.Run(ctx, e, root, sink)
+}
+
+// Optimize parses and plans a query, then runs the cost-based operator
+// selection pass against the client's catalog cardinalities, options,
+// and stats store: the returned CostedPlan's Root carries the chosen
+// physical interfaces and executes them via RunPlan. budgetDollars 0
+// means unconstrained.
 func (c *Client) Optimize(src string, budgetDollars float64) (*CostedPlan, error) {
-	return Optimize(c.eng, src, budgetDollars)
+	root, err := plan.BuildQuery(src, c.eng.Library)
+	if err != nil {
+		return nil, err
+	}
+	return plan.OptimizeFor(c.eng, root, budgetDollars)
 }
 
-// Explain renders the costed physical plan for one query.
+// Explain renders the costed physical plan for one query: each crowd
+// operator's chosen interface (join Simple/NaiveBatch/SmartBatch,
+// POSSIBLY pre-filter on/off, sort Compare/Rate/Hybrid), its estimated
+// HITs, dollars, and quality, and the plan totals against the budget —
+// a SQL EXPLAIN for crowd queries.
 func (c *Client) Explain(src string, opts ...ExplainOptions) (string, error) {
-	return Explain(c.eng, src, opts...)
+	var eo ExplainOptions
+	if len(opts) > 0 {
+		eo = opts[0]
+	}
+	cp, err := c.Optimize(src, eo.BudgetDollars)
+	if err != nil {
+		return "", err
+	}
+	if eo.Actual == nil {
+		return cp.Render(), nil
+	}
+	var actual []plan.OpActual
+	for _, op := range eo.Actual.Operators {
+		actual = append(actual, plan.OpActual{Label: op.Label, HITs: op.HITs})
+	}
+	// Fold in the run's observed statistics (selectivities, POSSIBLY
+	// pass fractions, sort group sizes) so est-vs-actual shows what the
+	// crowd measured, not just how many HITs it cost.
+	for _, ob := range eo.Actual.ObservedStats() {
+		oa := plan.OpActual{Label: ob.Label}
+		switch ob.Kind {
+		case obstats.KindSelectivity:
+			oa.Selectivity, oa.SelectivityWeight = ob.Value, ob.Weight
+		case obstats.KindPassFraction:
+			oa.PassFraction, oa.PassFractionWeight = ob.Value, ob.Weight
+		case obstats.KindGroupSize:
+			oa.GroupSize, oa.GroupSizeWeight = ob.Value, ob.Weight
+		default:
+			continue
+		}
+		actual = append(actual, oa)
+	}
+	return cp.RenderWithActual(actual), nil
 }
 
 // --- Built-in dataset bundles ---

@@ -17,30 +17,30 @@ import (
 // a journal.
 func BenchmarkWALOverhead(b *testing.B) {
 	d := NewCelebrities(CelebrityConfig{N: 60, Seed: 7})
-	build := func() *Engine {
-		eng := NewEngine(NewSimMarket(DefaultMarketConfig(7), d.Oracle()), Options{})
-		eng.Catalog.Register(d.Celeb)
-		eng.Library.MustRegister(IsFemaleTask())
-		return eng
+	build := func(opts ...ClientOption) *Client {
+		c := NewClient(NewSimMarket(DefaultMarketConfig(7), d.Oracle()), opts...)
+		c.Engine().Catalog.Register(d.Celeb)
+		c.Engine().Library.MustRegister(IsFemaleTask())
+		return c
 	}
 	const query = `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
+	ctx := context.Background()
 
 	var plainNs, durableNs int64
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := RunQuery(build(), query); err != nil {
+			if _, _, err := build().Run(ctx, query); err != nil {
 				b.Fatal(err)
 			}
 		}
 		plainNs = b.Elapsed().Nanoseconds() / int64(b.N)
 	})
 	b.Run("durable", func(b *testing.B) {
-		ctx := context.Background()
 		// A directory per run: -count repeats a run with the same b.N.
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
 			path := filepath.Join(dir, fmt.Sprintf("run%d.qjl", i))
-			if _, _, err := RunQueryDurable(ctx, build(), query, path); err != nil {
+			if _, _, err := build(WithJournal(path)).Run(ctx, query); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"qurk/internal/crowd"
+	"qurk/internal/service"
+	"qurk/internal/wal"
 )
 
 // rowsOf fingerprints a result relation by one column, in row order.
@@ -36,12 +38,14 @@ func sortedCopy(s []string) []string {
 }
 
 // durableCase is one query under kill/resume test: newMarket builds a
-// fresh tracking simulator, newEngine an engine over any market.
+// fresh tracking simulator, newClient a client over any market with
+// the case's tables and tasks registered (plus any extra options, such
+// as WithJournal).
 type durableCase struct {
 	col       string
 	query     string
 	newMarket func() *SimMarket
-	newEngine func(m Marketplace) *Engine
+	newClient func(m Marketplace, opts ...ClientOption) *Client
 }
 
 func filterCase() durableCase {
@@ -54,11 +58,11 @@ func filterCase() durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(d.Celeb)
-			eng.Library.MustRegister(IsFemaleTask())
-			return eng
+		newClient: func(m Marketplace, opts ...ClientOption) *Client {
+			c := NewClient(m, opts...)
+			c.Engine().Catalog.Register(d.Celeb)
+			c.Engine().Library.MustRegister(IsFemaleTask())
+			return c
 		},
 	}
 }
@@ -77,13 +81,13 @@ ORDER BY c.name`,
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(d.Celeb)
-			eng.Catalog.Register(d.Photos)
-			eng.Library.MustRegister(SamePersonTask())
-			eng.Library.MustRegister(GenderTask())
-			return eng
+		newClient: func(m Marketplace, opts ...ClientOption) *Client {
+			c := NewClient(m, opts...)
+			c.Engine().Catalog.Register(d.Celeb)
+			c.Engine().Catalog.Register(d.Photos)
+			c.Engine().Library.MustRegister(SamePersonTask())
+			c.Engine().Library.MustRegister(GenderTask())
+			return c
 		},
 	}
 }
@@ -98,11 +102,11 @@ func sortCase() durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, sq.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(sq.Rel)
-			eng.Library.MustRegister(SquareSorterTask())
-			return eng
+		newClient: func(m Marketplace, opts ...ClientOption) *Client {
+			c := NewClient(m, opts...)
+			c.Engine().Catalog.Register(sq.Rel)
+			c.Engine().Library.MustRegister(SquareSorterTask())
+			return c
 		},
 	}
 }
@@ -115,8 +119,8 @@ func sortCase() durableCase {
 func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 	ctx := context.Background()
 	base := c.newMarket()
-	wantOut, _, err := RunQueryDurable(ctx, c.newEngine(base), c.query,
-		filepath.Join(t.TempDir(), "base.qjl"))
+	wantOut, _, err := c.newClient(base, WithJournal(filepath.Join(t.TempDir(), "base.qjl"))).
+		Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 
 	// A plain (non-durable) run must agree too: journaling is a pure
 	// wrapper, not a semantics change.
-	plainOut, _, err := RunQuery(c.newEngine(c.newMarket()), c.query)
+	plainOut, _, err := c.newClient(c.newMarket()).Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 		m := c.newMarket()
 		m.InjectCrashAfter(k)
 		journal := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d.qjl", k))
-		_, _, err := RunQueryDurable(ctx, c.newEngine(m), c.query, journal)
+		_, _, err := c.newClient(m, WithJournal(journal)).Run(ctx, c.query)
 		if err == nil {
 			// Chunk lookahead can complete the run before admission k;
 			// nothing to resume at this point.
@@ -153,7 +157,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 		crashed++
 
 		m.InjectCrashAfter(-1)
-		out, _, err := Resume(ctx, c.newEngine(m), c.query, journal)
+		out, _, err := c.newClient(m, WithJournal(journal)).Resume(ctx, c.query)
 		if err != nil {
 			t.Fatalf("crash point %d: resume failed: %v", k, err)
 		}
@@ -193,13 +197,13 @@ func TestResumeCompletedJournalReplaysWithoutPosting(t *testing.T) {
 	c := filterCase()
 	m := c.newMarket()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	wantOut, _, err := RunQueryDurable(ctx, c.newEngine(m), c.query, journal)
+	wantOut, _, err := c.newClient(m, WithJournal(journal)).Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := c.newMarket()
-	out, _, err := Resume(ctx, c.newEngine(fresh), c.query, journal)
+	out, _, err := c.newClient(fresh, WithJournal(journal)).Resume(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,23 +215,76 @@ func TestResumeCompletedJournalReplaysWithoutPosting(t *testing.T) {
 	}
 }
 
+// TestDurableRunStreamSealsAndResumes: a journaled RunStream hands the
+// sink exactly the rows it returns, seals the journal complete under
+// the pinned fingerprint, and the journal then resumes with zero
+// marketplace traffic.
+func TestDurableRunStreamSealsAndResumes(t *testing.T) {
+	ctx := context.Background()
+	c := filterCase()
+	journal := filepath.Join(t.TempDir(), "run.qjl")
+	client := c.newClient(c.newMarket(), WithJournal(journal))
+	var streamed strings.Builder
+	out, _, err := client.RunStream(ctx, c.query, func(rows []Tuple, _ float64) error {
+		for _, r := range rows {
+			streamed.WriteString(r.MustGet(c.col).String())
+			streamed.WriteByte('\n')
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() == 0 {
+		t.Fatal("run returned no rows")
+	}
+	if got, want := streamed.String(), rowsOf(out, c.col); got != want {
+		t.Errorf("sink saw different rows than the run returned\nsink:\n%sreturned:\n%s", got, want)
+	}
+
+	j, err := OpenJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, reason := j.Sealed()
+	fp := j.Meta().Fingerprint
+	j.Close()
+	if !sealed || reason != wal.SealComplete {
+		t.Errorf("journal sealed=%v %q, want sealed %q", sealed, reason, wal.SealComplete)
+	}
+	if want := service.Fingerprint(c.query, client.Engine().Options, "*crowd.SimMarket"); fp != want {
+		t.Errorf("journal fingerprint %#x, want %#x", fp, want)
+	}
+
+	fresh := c.newMarket()
+	replayed, _, err := c.newClient(fresh, WithJournal(journal)).Resume(ctx, c.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowsOf(replayed, c.col) != rowsOf(out, c.col) {
+		t.Error("replayed rows differ from the streamed run")
+	}
+	if posted := fresh.PostedHITs(); len(posted) != 0 {
+		t.Errorf("replay posted %d HITs, want 0", len(posted))
+	}
+}
+
 // TestResumeRefusesMismatchedFingerprint: a journal only resumes the
 // query and engine configuration that created it.
 func TestResumeRefusesMismatchedFingerprint(t *testing.T) {
 	ctx := context.Background()
 	c := filterCase()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err != nil {
+	if _, _, err := c.newClient(c.newMarket(), WithJournal(journal)).Run(ctx, c.query); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Resume(ctx, c.newEngine(c.newMarket()),
-		`SELECT c.img FROM celeb AS c WHERE isFemale(c.img)`, journal)
+	_, _, err := c.newClient(c.newMarket(), WithJournal(journal)).
+		Resume(ctx, `SELECT c.img FROM celeb AS c WHERE isFemale(c.img)`)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("resume with a different query = %v, want fingerprint refusal", err)
 	}
-	eng := c.newEngine(c.newMarket())
-	eng.Options.FilterBatch = 2
-	if _, _, err := Resume(ctx, eng, c.query, journal); err == nil {
+	rebatched := c.newClient(c.newMarket(), WithJournal(journal), WithOptions(Options{FilterBatch: 2}))
+	if _, _, err := rebatched.Resume(ctx, c.query); err == nil {
 		t.Error("resume with different options must be refused")
 	}
 }
@@ -238,14 +295,14 @@ func TestRunQueryDurableRefusesExistingJournal(t *testing.T) {
 	ctx := context.Background()
 	c := filterCase()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err != nil {
+	if _, _, err := c.newClient(c.newMarket(), WithJournal(journal)).Run(ctx, c.query); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err == nil {
+	if _, _, err := c.newClient(c.newMarket(), WithJournal(journal)).Run(ctx, c.query); err == nil {
 		t.Error("second durable run over the same journal path must fail")
 	}
-	if _, _, err := Resume(ctx, c.newEngine(c.newMarket()), c.query,
-		filepath.Join(t.TempDir(), "missing.qjl")); err == nil {
+	missing := filepath.Join(t.TempDir(), "missing.qjl")
+	if _, _, err := c.newClient(c.newMarket(), WithJournal(missing)).Resume(ctx, c.query); err == nil {
 		t.Error("resume of a nonexistent journal must fail")
 	}
 }
@@ -259,19 +316,19 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 	t0 := time.Date(2026, 1, 2, 9, 0, 0, 0, time.UTC)
 	const query = `SELECT c.name FROM celeb c WHERE isFemale(c.img)`
 
-	build := func(fcfg MTurkFakeConfig) (*Engine, *MTurkFakeServer, *MTurkFakeClock) {
+	build := func(fcfg MTurkFakeConfig) (*MTurkFakeServer, *MTurkFakeClock) {
 		clock := NewMTurkFakeClock(t0)
 		fcfg.Clock = clock
 		fcfg.SubmitDelay = 2 * time.Second
 		f := NewMTurkFakeServer(fcfg)
 		t.Cleanup(f.Close)
-		eng := mturkEngineOver(t, f, clock)
-		return eng, f, clock
+		return f, clock
 	}
 
 	// Baseline: clean endpoint, uninterrupted durable run.
-	baseEng, baseSrv, _ := build(MTurkFakeConfig{YesPct: 100})
-	wantOut, _, err := RunQueryDurable(ctx, baseEng, query, filepath.Join(t.TempDir(), "base.qjl"))
+	baseSrv, baseClock := build(MTurkFakeConfig{YesPct: 100})
+	wantOut, _, err := mturkClientOver(t, baseSrv, baseClock, filepath.Join(t.TempDir(), "base.qjl")).
+		Run(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +340,19 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 
 	// Faulted endpoint: the first CreateHIT's whole retry budget is
 	// consumed by injected 500s, killing the durable run mid-pipeline.
-	eng, srv, clock := build(MTurkFakeConfig{
+	srv, clock := build(MTurkFakeConfig{
 		YesPct:    100,
 		FailFirst: map[string]int{"CreateHIT": 3},
 	})
 	journal := filepath.Join(t.TempDir(), "crash.qjl")
-	if _, _, err := RunQueryDurable(ctx, eng, query, journal); err == nil {
+	if _, _, err := mturkClientOver(t, srv, clock, journal).Run(ctx, query); err == nil {
 		t.Fatal("durable run survived faults that exhaust the retry budget")
 	}
 
-	// Resume with a fresh engine over the SAME endpoint and clock: the
+	// Resume with a fresh client over the SAME endpoint and clock: the
 	// faults are spent, the journaled intents re-post, and the token
 	// log converges on the baseline's.
-	out, _, err := Resume(ctx, mturkEngineOver(t, srv, clock), query, journal)
+	out, _, err := mturkClientOver(t, srv, clock, journal).Resume(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +364,9 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 	}
 }
 
-// mturkEngineOver builds an engine whose marketplace is a fresh MTurk
-// client pointed at an existing fake endpoint, sharing its clock.
-func mturkEngineOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock) *Engine {
+// mturkClientOver builds a durable client whose marketplace is a fresh
+// MTurk client pointed at an existing fake endpoint, sharing its clock.
+func mturkClientOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock, journal string) *Client {
 	t.Helper()
 	c, err := NewMTurkClient(MTurkConfig{
 		Endpoint:           f.URL(),
@@ -323,8 +380,8 @@ func mturkEngineOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock) *E
 		t.Fatal(err)
 	}
 	d := NewCelebrities(CelebrityConfig{N: 20, Seed: 3})
-	eng := NewEngine(c, Options{})
-	eng.Catalog.Register(d.Celeb)
-	eng.Library.MustRegister(IsFemaleTask())
-	return eng
+	client := NewClient(c, WithJournal(journal))
+	client.Engine().Catalog.Register(d.Celeb)
+	client.Engine().Library.MustRegister(IsFemaleTask())
+	return client
 }

@@ -86,7 +86,7 @@ func runOptimized(movie *qurk.Movie) int {
 	}
 	fmt.Println("--- OPTIMIZED (cost-based operator selection)")
 	fmt.Println(cp.Render())
-	out, stats, err := qurk.RunPlan(client.Engine(), cp.Root)
+	out, stats, err := qurk.RunPlan(context.Background(), client.Engine(), cp.Root, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Breaker checkpoints for durable runs. When the engine carries a
-// journal (core.Engine.Journal, set by qurk.RunQueryDurable/Resume),
+// journal (core.Engine.Journal, set by durable Client runs and qurkd),
 // every pipeline breaker fingerprints its materialized state as it
 // forms — sort groups, the join's build table, extraction carries —
 // and hands the digest to the journal. On a fresh run the digest is

@@ -58,7 +58,7 @@ type Stats struct {
 	Incomplete []string
 	// Observed lists the statistics operators measured during the run
 	// (selectivities, pass fractions, group sizes — the same values fed
-	// to the engine's ObStats store); qurk.Explain renders them next to
+	// to the engine's ObStats store); Client.Explain renders them next to
 	// the optimizer's estimates. Access via ObservedStats.
 	Observed []ObservedStat
 	// Reused counts questions resolved from the engine's shared answer
@@ -155,40 +155,6 @@ func (s *Stats) SerialMakespanHours() float64 {
 	return t
 }
 
-// Run parses nothing: it plans and executes an already-parsed statement.
-func Run(e *core.Engine, stmt *query.SelectStmt) (*relation.Relation, *Stats, error) {
-	return RunContext(context.Background(), e, stmt)
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is done,
-// streaming operators stop posting HITs and the pipeline unwinds.
-// Chunks already on the marketplace complete (posted crowd work cannot
-// be recalled) but are no longer waited for. Pipeline breakers that
-// post through blocking marketplace calls (crowd sorts, join feature
-// extraction) observe cancellation at their next phase boundary, not
-// mid-phase.
-func RunContext(ctx context.Context, e *core.Engine, stmt *query.SelectStmt) (*relation.Relation, *Stats, error) {
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunPlanContext(ctx, e, node)
-}
-
-// RunQuery parses, plans, and executes one query string.
-func RunQuery(e *core.Engine, src string) (*relation.Relation, *Stats, error) {
-	return RunQueryContext(context.Background(), e, src)
-}
-
-// RunQueryContext is RunQuery with cooperative cancellation.
-func RunQueryContext(ctx context.Context, e *core.Engine, src string) (*relation.Relation, *Stats, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunContext(ctx, e, stmt)
-}
-
 // executor carries per-run state.
 type executor struct {
 	eng   *core.Engine
@@ -205,7 +171,23 @@ func (x *executor) groupID(label, path string) string {
 	return fmt.Sprintf("%s@%s", label, path)
 }
 
-// RunPlan executes a plan tree.
+// Sink receives one batch of result tuples as the streaming executor
+// produces it: the rows, and the virtual crowd clock at which they
+// became available. Returning an error aborts the run.
+type Sink func(tuples []relation.Tuple, ready float64) error
+
+// Run compiles a plan tree to a streaming operator tree and drains it.
+// sink (nil for none) observes every result batch as the root operator
+// yields it, so callers (the qurkd row stream, Client.RunStream) can
+// forward rows while crowd work is still in flight; the fully
+// materialized relation is still returned at the end.
+//
+// When ctx is done, streaming operators stop posting HITs and the
+// pipeline unwinds. Chunks already on the marketplace complete (posted
+// crowd work cannot be recalled) but are no longer waited for.
+// Pipeline breakers that post through blocking marketplace calls
+// (crowd sorts, join feature extraction) observe cancellation at their
+// next phase boundary, not mid-phase.
 //
 // Against a simulated marketplace, crowd randomness derives from the
 // market seed plus content-stable HIT-group IDs, so re-running the same
@@ -221,41 +203,7 @@ func (x *executor) groupID(label, path string) string {
 // never duplicate a question across concurrent operators (duplicate OR
 // disjuncts are deduplicated here); for strict determinism in API-built
 // plans that do, set Engine.Cache to nil.
-func RunPlan(e *core.Engine, node plan.Node) (*relation.Relation, *Stats, error) {
-	return RunPlanContext(context.Background(), e, node)
-}
-
-// RunPlanContext compiles the plan to a streaming operator tree and
-// drains it.
-func RunPlanContext(ctx context.Context, e *core.Engine, node plan.Node) (*relation.Relation, *Stats, error) {
-	return RunPlanStreamContext(ctx, e, node, nil)
-}
-
-// Sink receives one batch of result tuples as the streaming executor
-// produces it: the rows, and the virtual crowd clock at which they
-// became available. Returning an error aborts the run.
-type Sink func(tuples []relation.Tuple, ready float64) error
-
-// RunQueryStreamContext is RunQueryContext with incremental delivery:
-// sink observes every result batch as the root operator yields it, so
-// callers (the qurkd row stream, Client.RunStream) can forward rows
-// while crowd work is still in flight. The fully materialized relation
-// is still returned at the end.
-func RunQueryStreamContext(ctx context.Context, e *core.Engine, src string, sink Sink) (*relation.Relation, *Stats, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunPlanStreamContext(ctx, e, node, sink)
-}
-
-// RunPlanStreamContext is RunPlanContext with incremental delivery
-// through sink (nil for none).
-func RunPlanStreamContext(ctx context.Context, e *core.Engine, node plan.Node, sink Sink) (*relation.Relation, *Stats, error) {
+func Run(ctx context.Context, e *core.Engine, node plan.Node, sink Sink) (*relation.Relation, *Stats, error) {
 	x := &executor{eng: e, stats: &Stats{}}
 	root, err := x.build(node, "q")
 	if err != nil {

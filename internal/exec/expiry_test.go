@@ -35,7 +35,7 @@ func TestExpiredFilterRepostsMissingAssignments(t *testing.T) {
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestExpiryRetriesDisabled(t *testing.T) {
 		e := core.NewEngine(abandoningMarket(5, d.Oracle(), 0.3), core.Options{ExpiredRetries: retries})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(dataset.IsFemaleTask())
-		_, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+		_, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestExpiryExhaustIncomplete(t *testing.T) {
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExpiryChunkSizeInvariance(t *testing.T) {
 			core.Options{StreamChunkHITs: chunk, StreamLookahead: lookahead})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(dataset.IsFemaleTask())
-		out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+		out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestExpiryMakespanAtDeadline(t *testing.T) {
 		e := core.NewEngine(abandoningMarket(8, d.Oracle(), prob), core.Options{})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(dataset.IsFemaleTask())
-		_, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+		_, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestExpiredJoinRetries(t *testing.T) {
 	e.Catalog.Register(d.Photos)
 	e.Library.MustRegister(dataset.SamePersonTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ package exec
 // happened — a filter's accept fraction, a join's POSSIBLY pass
 // fraction and match selectivity, a sort group's size, per-operator
 // crowd latency and worker agreement — and feed it both to the run's
-// Stats (for qurk.Explain's est-vs-actual columns) and to the engine's
+// Stats (for Client.Explain's est-vs-actual columns) and to the engine's
 // shared history store (core.Engine.ObStats), which the next run's
 // optimizer pass seeds its estimates from.
 

@@ -18,6 +18,7 @@ package exec
 // interfaces than the optimizer picks.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func optimizeAndRun(t *testing.T, e *core.Engine, src string, budget float64) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := RunPlan(e, cp.Root)
+	_, stats, err := Run(context.Background(), e, cp.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ AND POSSIBLY gender(c.img) = gender(p.img)`
 // observed statistics carry the measured pass fraction.
 func TestJoinReplanSwitchesToGrids(t *testing.T) {
 	static := replanJoinEngine(core.Options{JoinAlgorithm: join.Naive, JoinBatch: 2, Seed: 7})
-	_, sstats, err := RunQuery(static, replanJoinQuery)
+	_, sstats, err := runQuery(static, replanJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestJoinReplanSwitchesToGrids(t *testing.T) {
 		JoinAlgorithm: join.Naive, JoinBatch: 2, Seed: 7,
 		Replan: core.ReplanOptions{Enabled: true, ProbeTuples: 4},
 	})
-	_, astats, err := RunQuery(adaptive, replanJoinQuery)
+	_, astats, err := runQuery(adaptive, replanJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestJoinReplanSwitchesToGrids(t *testing.T) {
 // run is HIT-for-HIT the static plan.
 func TestJoinReplanKeepsNaiveUnderQualityFloor(t *testing.T) {
 	static := replanJoinEngine(core.Options{JoinAlgorithm: join.Naive, JoinBatch: 2, Seed: 7})
-	_, sstats, err := RunQuery(static, replanJoinQuery)
+	_, sstats, err := runQuery(static, replanJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestJoinReplanKeepsNaiveUnderQualityFloor(t *testing.T) {
 		JoinAlgorithm: join.Naive, JoinBatch: 2, Seed: 7,
 		Replan: core.ReplanOptions{Enabled: true, ProbeTuples: 4, MinQuality: 0.93},
 	})
-	_, gstats, err := RunQuery(gated, replanJoinQuery)
+	_, gstats, err := runQuery(gated, replanJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ const replanSortQuery = `SELECT label FROM squares ORDER BY squareSorter(img)`
 // quality floor below rating's 0.78 the group switches and the run
 // posts a fraction of the HITs. A floor above 0.78 blocks the switch.
 func TestSortReplanSwitchesToRate(t *testing.T) {
-	_, sstats, err := RunQuery(sortEngine(core.Options{Seed: 5}), replanSortQuery)
+	_, sstats, err := runQuery(sortEngine(core.Options{Seed: 5}), replanSortQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, astats, err := RunQuery(sortEngine(core.Options{
+	out, astats, err := runQuery(sortEngine(core.Options{
 		Seed:   5,
 		Replan: core.ReplanOptions{Enabled: true, MinQuality: 0.75},
 	}), replanSortQuery)
@@ -122,7 +122,7 @@ func TestSortReplanSwitchesToRate(t *testing.T) {
 	if astats.TotalHITs() >= sstats.TotalHITs() {
 		t.Fatalf("re-plan posted %d HITs, static %d — no cut", astats.TotalHITs(), sstats.TotalHITs())
 	}
-	_, gstats, err := RunQuery(sortEngine(core.Options{
+	_, gstats, err := runQuery(sortEngine(core.Options{
 		Seed:   5,
 		Replan: core.ReplanOptions{Enabled: true, MinQuality: 0.9},
 	}), replanSortQuery)
@@ -159,7 +159,7 @@ func TestObservationsFeedEngineStore(t *testing.T) {
 	e.ObStats = store
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
-	if _, _, err := RunQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`); err != nil {
+	if _, _, err := runQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`); err != nil {
 		t.Fatal(err)
 	}
 	sel, w, ok := store.Estimate("isFemale", obstats.KindSelectivity)

@@ -32,7 +32,7 @@ func TestSortExpiryRetries(t *testing.T) {
 	cfg.AbandonProb = 0.3
 	e := squaresEngine(15, func(o crowd.Oracle) crowd.Marketplace { return crowd.NewSimMarket(cfg, o) },
 		core.Options{SortMethod: core.SortCompare, CompareGroupSize: 5})
-	out, stats, err := RunQuery(e, sortQuery)
+	out, stats, err := runQuery(e, sortQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSortRefusalRetries(t *testing.T) {
 	cfg.RefusalEffort = 3 // batch-5 rating HITs exceed this; halves pass
 	e := squaresEngine(12, func(o crowd.Oracle) crowd.Marketplace { return crowd.NewSimMarket(cfg, o) },
 		core.Options{SortMethod: core.SortRate})
-	out, stats, err := RunQuery(e, sortQuery)
+	out, stats, err := runQuery(e, sortQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSortChunkInvariance(t *testing.T) {
 func TestHybridSeedThroughPoster(t *testing.T) {
 	e := squaresEngine(12, func(o crowd.Oracle) crowd.Marketplace { return crowd.NewSimMarket(crowd.DefaultConfig(7), o) },
 		core.Options{SortMethod: core.SortHybrid, HybridIterations: 6})
-	out, stats, err := RunQuery(e, sortQuery)
+	out, stats, err := runQuery(e, sortQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ const (
 )
 
 // BreakerInfo describes one pipeline-breaking buffer of an operator in
-// machine-readable form, so tools (qurk.Explain, dashboards) can render
+// machine-readable form, so tools (Client.Explain, dashboards) can render
 // "spills at N tuples" instead of parsing free text.
 type BreakerInfo struct {
 	// Kind classifies the buffered state.

@@ -59,8 +59,6 @@ type Options struct {
 	Combiner combine.Combiner
 	// GroupID labels the HIT group (default "join").
 	GroupID string
-	// Cache, if non-nil, memoizes pair questions across runs.
-	Cache *hit.Cache
 }
 
 func (o *Options) fillDefaults() {

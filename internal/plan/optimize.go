@@ -198,7 +198,9 @@ type OpActual struct {
 // CostedPlan is the optimizer's result: the annotated tree plus the
 // estimates that justified each choice.
 type CostedPlan struct {
-	// Root is the annotated plan tree, executable via RunPlan.
+	// Root is the annotated plan tree. The engine's run paths
+	// (Client.Run, qurkd) still execute the unannotated plan.Build
+	// tree; exec.Run (qurk.RunPlan) is the one way to execute Root.
 	Root Node
 	// Ops lists crowd operators in plan (post-) order.
 	Ops []OpCost
@@ -282,6 +284,17 @@ func Optimize(root Node, cards CardSource, opt OptimizeOptions) (*CostedPlan, er
 	over := o.fitBudget()
 	o.allocateAssignments(over)
 	return o.finish(root, over), nil
+}
+
+// OptimizeFor runs Optimize over root against an engine: its
+// catalog's cardinalities, its options, and — when the engine carries
+// a stats store — the weighted means of past runs' measured
+// selectivities, pass fractions, and group sizes, blended with the
+// priors. budgetDollars 0 means unconstrained.
+func OptimizeFor(e *core.Engine, root Node, budgetDollars float64) (*CostedPlan, error) {
+	po := OptimizeOptionsFrom(e.Options, budgetDollars)
+	po.Stats = e.ObStats
+	return Optimize(root, e.Catalog, po)
 }
 
 func (o *optimizer) note(format string, args ...any) {

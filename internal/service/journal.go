@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"qurk/internal/core"
+	"qurk/internal/plan"
 	"qurk/internal/wal"
 )
 
@@ -52,12 +53,15 @@ type manifest struct {
 // cancelled; unlike "interrupted" seals, Recover does not resume them.
 const sealCancelled = "cancelled"
 
-// serviceFingerprint hashes what must match for a journal to be safe
-// to resume: the query text, the fully resolved options (after
-// fillDefaults — what the engine actually ran with), and the backend
-// name. Unlike the CLI facade's fingerprint it never hashes Go types,
-// so it is stable across process restarts and rebuilds.
-func serviceFingerprint(src string, opts core.Options, backend string) uint64 {
+// Fingerprint hashes what must match for a journal to be safe to
+// resume: the query text, the fully resolved options (after
+// fillDefaults — what the engine actually ran with; they fix batch
+// sizes, seeds, and retry budgets, all of which shape HIT identity),
+// and the backend. qurkd passes the backend's configured name, which
+// is stable across restarts and rebuilds; Client passes the
+// marketplace's Go type. The value is persisted in every journal and
+// manifest, so it must never change for the same inputs.
+func Fingerprint(src string, opts core.Options, backend string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, src)
 	h.Write([]byte{0})
@@ -116,7 +120,7 @@ func readManifest(path string) (*manifest, error) {
 // group and budget charge flows through the journal. Returns the open
 // journal the query must seal at its terminal transition.
 func (s *Service) attachJournal(id, backend string, tenant *Tenant, src string, gate *BudgetGate, eng *core.Engine) (*wal.Journal, error) {
-	fp := serviceFingerprint(src, eng.Options, backend)
+	fp := Fingerprint(src, eng.Options, backend)
 	m := &manifest{
 		ID:            id,
 		Tenant:        tenant.ID,
@@ -227,7 +231,7 @@ func (s *Service) recoverOne(m *manifest) {
 	// the journal's results are trusted for this query text.
 	gate := &BudgetGate{Tenant: tenant, Label: m.ID, Inner: mux}
 	eng := s.newEngine(gate, m.Options)
-	fp := serviceFingerprint(m.Query, eng.Options, m.Backend)
+	fp := Fingerprint(m.Query, eng.Options, m.Backend)
 	jm := j.Meta()
 	if fp != m.Fingerprint || jm.Fingerprint != m.Fingerprint || jm.Query != m.Query {
 		_ = j.Close()
@@ -249,13 +253,24 @@ func (s *Service) recoverOne(m *manifest) {
 		tenant.Ledger.Add(m.ID, c.HITs, c.Assignments)
 	}
 
+	// Charges recorded before the crash were really spent, so the
+	// ledger keeps them even if the query no longer builds (a task
+	// dropped from the library, say). Such a query fails alone; its
+	// journal stays unsealed, so a later boot can still resume it.
+	root, err := plan.BuildQuery(m.Query, eng.Library)
+	if err != nil {
+		_ = j.Close()
+		s.registerTerminal(m, StateFailed, err)
+		return
+	}
+
 	s.wireJournal(j, gate, eng)
 	ctx, q := s.register(m.ID, tenant.ID, m.Backend, m.Query, eng, j)
 	if q == nil {
 		return // service shut down mid-recovery
 	}
 	s.armDeadline(ctx, q, eng.Options.DeadlineHours)
-	go q.run(ctx)
+	go q.run(ctx, root)
 }
 
 // registerTerminal records a query that recovery refused to (or need

@@ -23,6 +23,7 @@ import (
 	"qurk/internal/dataset"
 	"qurk/internal/hit"
 	"qurk/internal/relation"
+	"qurk/internal/wal"
 )
 
 // durableConfig builds a one-backend config over the celebrity
@@ -365,6 +366,102 @@ func TestRecoverRejectsFingerprintMismatch(t *testing.T) {
 	}
 	if st := waitTerminal(t, q3); st != StateDone {
 		t.Fatalf("post-mismatch submission = %s", st)
+	}
+}
+
+// TestRecoverFailsQueryThatNoLongerBuilds: recovery plans each query
+// before restarting it. A manifest whose query no longer plans (its
+// task left the library between boots) fails alone with the planner's
+// error; its journal is left unsealed and open-able for a later boot,
+// and every other recovered query still runs.
+func TestRecoverFailsQueryThatNoLongerBuilds(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+
+	// The state a kill -9 leaves right after two submissions: each has
+	// its manifest and an empty, unsealed journal.
+	cfg := durableConfig(t, n, dir, trackingSim(n))
+	svc1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.NewEngine(nil, cfg.Options).Options
+	for _, m := range []*manifest{
+		{ID: "q0001", Tenant: "alice", Backend: "sim", Query: joinQuery, Options: opts},
+		{ID: "q0002", Tenant: "bob", Backend: "sim", Query: isFemaleQuery, Options: opts},
+	} {
+		m.Fingerprint = Fingerprint(m.Query, m.Options, m.Backend)
+		if err := svc1.writeManifest(m); err != nil {
+			t.Fatal(err)
+		}
+		j, err := wal.Create(svc1.journalPath(m.ID), wal.Meta{Query: m.Query, Backend: m.Backend, Fingerprint: m.Fingerprint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The next boot's library lacks samePerson, so the join no longer
+	// plans.
+	cfg2 := durableConfig(t, n, dir, trackingSim(n))
+	cfg2.Library = core.NewLibrary()
+	cfg2.Library.MustRegister(dataset.IsFemaleTask())
+	svc2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc2.Close)
+	if err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	broken, ok := svc2.Get("q0001")
+	if !ok {
+		t.Fatal("unplannable query vanished instead of surfacing as failed")
+	}
+	if sn := broken.Snapshot(); sn.State != StateFailed || !strings.Contains(sn.Error, "samePerson") {
+		t.Fatalf("unplannable query = %s (%q), want failed naming samePerson", sn.State, sn.Error)
+	}
+	j, err := wal.Open(svc2.journalPath("q0001"))
+	if err != nil {
+		t.Fatalf("journal of the failed query no longer opens: %v", err)
+	}
+	if sealed, reason := j.Sealed(); sealed {
+		t.Errorf("journal of the failed query sealed %q, want unsealed", reason)
+	}
+	j.Close()
+
+	other, ok := svc2.Get("q0002")
+	if !ok {
+		t.Fatal("plannable query not recovered")
+	}
+	if st := waitTerminal(t, other); st != StateDone {
+		t.Fatalf("plannable query = %s (%s), want done", st, other.Snapshot().Error)
+	}
+	if sn := other.Snapshot(); sn.Rows == 0 {
+		t.Fatal("recovered query produced no rows")
+	}
+}
+
+// TestFingerprintPinned pins Fingerprint for a Client-style input
+// (default options, the simulator's Go type as backend) and a
+// qurkd-style input (a backend name). Every journal and manifest
+// stores this value, so a change here strands every run written
+// before it.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		opts    core.Options
+		backend string
+		want    uint64
+	}{
+		{core.Options{}, "*crowd.SimMarket", 0x12766f81b5be950b},
+		{core.Options{Seed: 7, FilterBatch: 3}, "sim", 0xeeca8f1e16165fd7},
+	} {
+		opts := core.NewEngine(nil, c.opts).Options
+		if got := Fingerprint(isFemaleQuery, opts, c.backend); got != c.want {
+			t.Errorf("Fingerprint(%q backend) = %#x, want %#x", c.backend, got, c.want)
+		}
 	}
 }
 

@@ -406,7 +406,8 @@ func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 
 	// Admission control: the query must parse, plan, and fit the
 	// tenant's remaining budget by the optimizer's estimate.
-	if err := s.admit(eng, tenant, req.Query); err != nil {
+	root, err := s.admit(eng, tenant, req.Query)
+	if err != nil {
 		return nil, err
 	}
 
@@ -415,7 +416,6 @@ func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 	// at ANY later point leaves enough on disk for Recover to resume.
 	var j *wal.Journal
 	if s.cfg.JournalDir != "" {
-		var err error
 		if j, err = s.attachJournal(id, backend, tenant, req.Query, gate, eng); err != nil {
 			return nil, err
 		}
@@ -426,7 +426,7 @@ func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 		return nil, errors.New("service: shut down")
 	}
 	s.armDeadline(ctx, q, eng.Options.DeadlineHours)
-	go q.run(ctx)
+	go q.run(ctx, root)
 	return q, nil
 }
 
@@ -441,38 +441,41 @@ func (s *Service) newEngine(gate *BudgetGate, opts core.Options) *core.Engine {
 	return eng
 }
 
-// admit parses and cost-estimates the query against the tenant's
-// remaining budget. Parse and plan errors reject the submission here,
-// synchronously, rather than as a failed background query.
-func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) error {
+// admit parses the query once and builds two plan trees from the
+// statement: the one the query executes, which it returns, and one the
+// optimizer annotates in place to cost-estimate the query against the
+// tenant's remaining budget. Parse and plan errors reject the
+// submission here, synchronously, rather than as a failed background
+// query.
+func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) (plan.Node, error) {
 	stmt, err := query.ParseQuery(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	node, err := plan.Build(stmt, eng.Library)
+	root, err := plan.Build(stmt, eng.Library)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	po := plan.OptimizeOptionsFrom(eng.Options, 0)
-	if eng.ObStats != nil {
-		// Seed the admission-time plan from observed history: a second
-		// submission of a workload the store has seen picks the better
-		// interface (and a truer budget estimate) before running.
-		po.Stats = eng.ObStats
-	}
-	cp, err := plan.Optimize(node, eng.Catalog, po)
+	costed, err := plan.Build(stmt, eng.Library)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return tenant.admit(cp.TotalDollars)
+	// A store-seeded estimate lets a second submission of a workload
+	// the store has seen get a truer budget check before running.
+	cp, err := plan.OptimizeFor(eng, costed, 0)
+	if err != nil {
+		return nil, err
+	}
+	return root, tenant.admit(cp.TotalDollars)
 }
 
-// run executes the query, streaming rows into the record, then seals
-// the journal according to the terminal state.
-func (q *Query) run(ctx context.Context) {
+// run executes the query's plan tree, streaming rows into the record,
+// then seals the journal according to the terminal state. The tree is
+// an argument, not a field, so a finished query does not retain it.
+func (q *Query) run(ctx context.Context, root plan.Node) {
 	defer q.svc.wg.Done()
 	q.transition(StateRunning, nil, nil)
-	out, st, err := exec.RunQueryStreamContext(ctx, q.engine, q.Src, func(ts []relation.Tuple, _ float64) error {
+	out, st, err := exec.Run(ctx, q.engine, root, func(ts []relation.Tuple, _ float64) error {
 		q.appendRows(ts)
 		return nil
 	})

@@ -1,6 +1,6 @@
 // Package wal is the durability layer for crowd queries: an
 // append-only, fsync-on-commit record journal that the engine writes at
-// every marketplace boundary, plus the replay machinery qurk.Resume
+// every marketplace boundary, plus the replay machinery Client.Resume
 // uses to rebuild operator state after a crash.
 //
 // A crowd query spends real dollars per HIT and runs for hours; losing

@@ -5,15 +5,17 @@ package qurk
 // cmd/bench -compare gate covers planning-time regressions.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 )
 
-func benchEngine(b *testing.B, n int) *Engine {
+func benchClient(b *testing.B, n int) *Client {
 	b.Helper()
 	d := NewCelebrities(CelebrityConfig{N: n, Seed: 1})
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(1), d.Oracle()), Options{})
+	c := NewClient(NewSimMarket(DefaultMarketConfig(1), d.Oracle()))
+	eng := c.Engine()
 	eng.Catalog.Register(d.Celeb)
 	eng.Catalog.Register(d.Photos)
 	eng.Library.MustRegister(IsFemaleTask())
@@ -21,20 +23,20 @@ func benchEngine(b *testing.B, n int) *Engine {
 	eng.Library.MustRegister(GenderTask())
 	eng.Library.MustRegister(HairColorTask())
 	eng.Library.MustRegister(SkinColorTask())
-	return eng
+	return c
 }
 
 // BenchmarkOptimizerJoinPlan prices the celebrity join's full
 // alternative space (3 algorithms × shapes × prefilter on/off).
 func BenchmarkOptimizerJoinPlan(b *testing.B) {
-	eng := benchEngine(b, 30)
+	c := benchClient(b, 30)
 	src := `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)
 AND POSSIBLY hairColor(c.img) = hairColor(p.img)
 AND POSSIBLY skinColor(c.img) = skinColor(p.img)`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp, err := Optimize(eng, src, 10)
+		cp, err := c.Optimize(src, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,13 +50,13 @@ AND POSSIBLY skinColor(c.img) = skinColor(p.img)`
 // the exact comparison group cover at 40 items.
 func BenchmarkOptimizerSortPlan(b *testing.B) {
 	sq := NewSquares(40)
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(2), sq.Oracle()), Options{})
-	eng.Catalog.Register(sq.Rel)
-	eng.Library.MustRegister(SquareSorterTask())
+	c := NewClient(NewSimMarket(DefaultMarketConfig(2), sq.Oracle()))
+	c.Engine().Catalog.Register(sq.Rel)
+	c.Engine().Library.MustRegister(SquareSorterTask())
 	src := `SELECT label FROM squares ORDER BY squareSorter(img)`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(eng, src, 0); err != nil {
+		if _, err := c.Optimize(src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,11 +65,11 @@ func BenchmarkOptimizerSortPlan(b *testing.B) {
 // BenchmarkOptimizerExplain renders the full costed plan for a mixed
 // filter + join + budget query — the interactive EXPLAIN path.
 func BenchmarkOptimizerExplain(b *testing.B) {
-	eng := benchEngine(b, 30)
+	c := benchClient(b, 30)
 	src := `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img) WHERE isFemale(c.img)`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := Explain(eng, src, ExplainOptions{BudgetDollars: 5})
+		out, err := c.Explain(src, ExplainOptions{BudgetDollars: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,13 +86,13 @@ func BenchmarkOptimizedQueryRun(b *testing.B) {
 	var hits int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := benchEngine(b, 20)
-		cp, err := Optimize(eng, src, 0)
+		c := benchClient(b, 20)
+		cp, err := c.Optimize(src, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		_, stats, err := RunPlan(eng, cp.Root)
+		_, stats, err := RunPlan(context.Background(), c.Engine(), cp.Root, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,20 +105,20 @@ func BenchmarkOptimizedQueryRun(b *testing.B) {
 // run, and render estimated vs actual HITs per operator.
 func TestExplainEstVsActual(t *testing.T) {
 	d := NewCelebrities(CelebrityConfig{N: 20, Seed: 4})
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(4), d.Oracle()), Options{})
-	eng.Catalog.Register(d.Celeb)
-	eng.Library.MustRegister(IsFemaleTask())
+	c := NewClient(NewSimMarket(DefaultMarketConfig(4), d.Oracle()))
+	c.Engine().Catalog.Register(d.Celeb)
+	c.Engine().Library.MustRegister(IsFemaleTask())
 	src := `SELECT c.name FROM celeb c WHERE isFemale(c.img)`
 
-	cp, err := Optimize(eng, src, 0)
+	cp, err := c.Optimize(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := RunPlan(eng, cp.Root)
+	_, stats, err := RunPlan(context.Background(), c.Engine(), cp.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Explain(eng, src, ExplainOptions{Actual: stats})
+	out, err := c.Explain(src, ExplainOptions{Actual: stats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func runCelebrityQuery(t *testing.T, procs int) string {
 	eng.Library.MustRegister(GenderTask())
 	eng.Library.MustRegister(IsFemaleTask())
 
-	out, stats, err := RunQuery(eng, `
+	out, stats, err := runQuery(eng, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)

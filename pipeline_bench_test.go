@@ -33,12 +33,12 @@ WHERE isFemale(c.img)`
 func BenchmarkPipelineStreamedMakespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eS, src := pipelineEngine(4)
-		_, streamed, err := RunQuery(eS, src)
+		_, streamed, err := runQuery(eS, src)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eM, _ := pipelineEngine(1 << 20)
-		_, mono, err := RunQuery(eM, src)
+		_, mono, err := runQuery(eM, src)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func BenchmarkPipelineLimitSavings(b *testing.B) {
 		e := NewEngine(m, Options{StreamChunkHITs: 4, Seed: 35})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(IsFemaleTask())
-		_, stats, err := RunQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img) LIMIT 3`)
+		_, stats, err := runQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img) LIMIT 3`)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,12 +11,10 @@
 //
 // # Quick start
 //
-//	d := qurk.NewCelebrities(qurk.CelebrityConfig{N: 30, Seed: 1})
-//	market := qurk.NewSimMarket(qurk.DefaultMarketConfig(1), d.Oracle())
-//	eng := qurk.NewEngine(market, qurk.Options{})
-//	eng.Catalog.Register(d.Celeb)
-//	eng.Library.MustRegister(qurk.IsFemaleTask())
-//	out, stats, err := qurk.RunQuery(eng,
+//	d, _ := qurk.OpenDataset("celebrities", 30, 1)
+//	client := qurk.NewClient(qurk.NewSimMarket(qurk.DefaultMarketConfig(1), d.Oracle),
+//	    qurk.WithDataset(d))
+//	out, stats, err := client.Run(ctx,
 //	    `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 //
 // Queries support the paper's dialect: crowd UDFs in WHERE (Filter
@@ -27,11 +25,8 @@
 package qurk
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"qurk/internal/adaptive"
 	"qurk/internal/combine"
@@ -43,7 +38,6 @@ import (
 	"qurk/internal/hit"
 	"qurk/internal/join"
 	"qurk/internal/mturk"
-	"qurk/internal/obstats"
 	"qurk/internal/plan"
 	"qurk/internal/query"
 	"qurk/internal/relation"
@@ -250,10 +244,10 @@ const (
 var (
 	// NewEngine creates an engine over a marketplace.
 	NewEngine = core.NewEngine
-	// RunPlan executes an already-built plan tree.
-	RunPlan = exec.RunPlan
-	// RunPlanContext is RunPlan with cooperative cancellation.
-	RunPlanContext = exec.RunPlanContext
+	// RunPlan executes an already-built plan tree on an engine,
+	// delivering result batches to a StreamSink (nil for none): the
+	// way to run a CostedPlan's Root, or a hand-built plan.
+	RunPlan = exec.Run
 	// CompilePlan builds the streaming operator tree without executing
 	// it; DescribePipeline renders it with pipeline breakers marked.
 	CompilePlan = exec.Compile
@@ -271,8 +265,8 @@ var (
 	ParseScript = query.ParseScript
 	// BuildPlan compiles a statement against a task library.
 	BuildPlan = plan.Build
-	// ExplainPlan renders a plan tree (logical only; Explain adds the
-	// optimizer's costed choices).
+	// ExplainPlan renders a plan tree (logical only; Client.Explain
+	// adds the optimizer's costed choices).
 	ExplainPlan = plan.Explain
 	// OptimizePlan runs cost-based operator selection over a built plan
 	// tree with explicit cardinalities and options.
@@ -280,24 +274,6 @@ var (
 	// OptimizeOptionsFrom seeds optimizer options from engine options.
 	OptimizeOptionsFrom = plan.OptimizeOptionsFrom
 )
-
-// RunQuery parses, plans, and executes one query string on the
-// streaming Volcano executor.
-//
-// Deprecated: construct a Client and use Client.Run; this wrapper
-// remains for compatibility.
-func RunQuery(e *Engine, src string) (*Relation, *ExecStats, error) {
-	return exec.RunQuery(e, src)
-}
-
-// RunQueryContext is RunQuery with cooperative cancellation: when ctx
-// is done, operators stop posting HITs and unwind promptly.
-//
-// Deprecated: construct a Client and use Client.Run; this wrapper
-// remains for compatibility.
-func RunQueryContext(ctx context.Context, e *Engine, src string) (*Relation, *ExecStats, error) {
-	return exec.RunQueryContext(ctx, e, src)
-}
 
 // Cost-based optimizer types (paper §2.6's minimize-HITs objective over
 // the §3/§4 interface choices).
@@ -318,7 +294,7 @@ type (
 	BatchPhys = plan.BatchPhys
 )
 
-// ExplainOptions configures Explain's cost-based pass.
+// ExplainOptions configures Client.Explain's cost-based pass.
 type ExplainOptions struct {
 	// BudgetDollars constrains the optimizer's total crowd spend
 	// (0 = unconstrained).
@@ -327,71 +303,6 @@ type ExplainOptions struct {
 	// HITs from an executed run next to its estimate — the paper's §6
 	// iterative-debugging loop (estimate, run, compare, recalibrate).
 	Actual *ExecStats
-}
-
-// Explain parses a query, runs the cost-based optimizer against the
-// engine's catalog cardinalities and options, and renders the costed
-// physical plan: each crowd operator's chosen interface (join
-// Simple/NaiveBatch/SmartBatch, POSSIBLY pre-filter on/off, sort
-// Compare/Rate/Hybrid), its estimated HITs, dollars, and quality, and
-// the plan totals against the budget — a SQL EXPLAIN for crowd queries.
-func Explain(e *Engine, src string, opts ...ExplainOptions) (string, error) {
-	var eo ExplainOptions
-	if len(opts) > 0 {
-		eo = opts[0]
-	}
-	cp, err := Optimize(e, src, eo.BudgetDollars)
-	if err != nil {
-		return "", err
-	}
-	if eo.Actual == nil {
-		return cp.Render(), nil
-	}
-	var actual []plan.OpActual
-	for _, op := range eo.Actual.Operators {
-		actual = append(actual, plan.OpActual{Label: op.Label, HITs: op.HITs})
-	}
-	// Fold in the run's observed statistics (selectivities, POSSIBLY
-	// pass fractions, sort group sizes) so est-vs-actual shows what the
-	// crowd measured, not just how many HITs it cost.
-	for _, ob := range eo.Actual.ObservedStats() {
-		oa := plan.OpActual{Label: ob.Label}
-		switch ob.Kind {
-		case obstats.KindSelectivity:
-			oa.Selectivity, oa.SelectivityWeight = ob.Value, ob.Weight
-		case obstats.KindPassFraction:
-			oa.PassFraction, oa.PassFractionWeight = ob.Value, ob.Weight
-		case obstats.KindGroupSize:
-			oa.GroupSize, oa.GroupSizeWeight = ob.Value, ob.Weight
-		default:
-			continue
-		}
-		actual = append(actual, oa)
-	}
-	return cp.RenderWithActual(actual), nil
-}
-
-// Optimize parses and plans a query, then runs the cost-based operator
-// selection pass against the engine's catalog cardinalities: the
-// returned CostedPlan's Root carries the chosen physical interfaces
-// and executes them via RunPlan. budgetDollars 0 means unconstrained.
-func Optimize(e *Engine, src string, budgetDollars float64) (*CostedPlan, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, err
-	}
-	po := plan.OptimizeOptionsFrom(e.Options, budgetDollars)
-	if e.ObStats != nil {
-		// Seed estimates from observed history: the engine's stats store
-		// supplies weighted means of past runs' measured selectivities,
-		// pass fractions, and group sizes, blended with the priors.
-		po.Stats = e.ObStats
-	}
-	return plan.Optimize(node, e.Catalog, po)
 }
 
 // --- Direct operator access (paper §3 and §4) ---
@@ -420,8 +331,6 @@ type (
 	SelectionConfig = join.SelectionConfig
 	// FeatureVerdict explains one feature's selection decision.
 	FeatureVerdict = join.FeatureVerdict
-	// FilteredJoinResult is a filtered join with extraction costs.
-	FilteredJoinResult = join.FilteredResult
 	// CompareOptions configures a comparison sort.
 	CompareOptions = sortop.CompareOptions
 	// RateOptions configures a rating sort.
@@ -465,24 +374,14 @@ const (
 var (
 	// RunJoin executes a crowd join over explicit candidate pairs.
 	RunJoin = join.Run
-	// RunJoinSeq executes a crowd join over streamed candidates.
-	RunJoinSeq = join.RunSeq
 	// RunCrossJoin joins the full cross product.
 	RunCrossJoin = join.RunCross
-	// RunFilteredJoin extracts features and joins the survivors.
-	RunFilteredJoin = join.RunFiltered
 	// ExtractFeatures runs the feature-extraction linear pass.
 	ExtractFeatures = join.Extract
-	// ExtractFeaturesBoth runs both sides' passes concurrently.
-	ExtractFeaturesBoth = join.ExtractBoth
 	// ChooseFeatures applies the paper's three feature-pruning rules.
 	ChooseFeatures = join.ChooseFeatures
 	// FilteredPairs prunes a cross product to feature-compatible pairs.
 	FilteredPairs = join.FilteredPairs
-	// FilteredPairSeq streams feature-compatible pairs.
-	FilteredPairSeq = join.FilteredSeq
-	// CrossPairSeq streams the full cross product.
-	CrossPairSeq = join.CrossSeq
 	// Compare runs the comparison-based sort.
 	Compare = sortop.Compare
 	// Rate runs the rating-based sort.
@@ -491,12 +390,6 @@ var (
 	Hybrid = sortop.Hybrid
 	// Max runs the MAX/MIN tournament.
 	Max = sortop.Max
-	// TopK sorts and keeps the K greatest items.
-	TopK = sortop.TopK
-	// RunFilter executes a crowd filter over a relation.
-	RunFilter = core.RunFilter
-	// RunGenerative executes a generative task over a relation.
-	RunGenerative = core.RunGenerative
 	// NewQualityAdjust builds a configured QA combiner.
 	NewQualityAdjust = combine.NewQualityAdjust
 	// DefaultQAConfig is the paper's QA parametrization.
@@ -592,10 +485,10 @@ func DollarCost(hits, assignmentsPerHIT int) float64 {
 type (
 	// Journal is the append-only, fsync-on-commit write-ahead journal a
 	// durable run records marketplace traffic and breaker checkpoints
-	// into; qurk.Resume replays it after a crash.
+	// into; Client.Resume replays it after a crash.
 	Journal = wal.Journal
-	// JournalMeta identifies the query a journal belongs to; Resume
-	// refuses a journal whose fingerprint does not match.
+	// JournalMeta identifies the query a journal belongs to;
+	// Client.Resume refuses a journal whose fingerprint does not match.
 	JournalMeta = wal.Meta
 	// DurableMarket is the journaling Marketplace wrapper durable runs
 	// post through: intent record before each group, result record
@@ -616,117 +509,6 @@ var (
 	// state that no longer matches the journal.
 	ErrJournalDiverged = wal.ErrDiverged
 )
-
-// RunQueryDurable executes one query like RunQueryContext but records
-// every marketplace interaction and breaker checkpoint into a fresh
-// write-ahead journal at journalPath (which must not exist yet). If
-// the process crashes — or the context is cancelled — partway through,
-// Resume with the same engine configuration and query picks the run
-// back up with zero duplicate HIT posting: completed groups replay
-// from the journal, and groups whose intent committed but whose result
-// did not are re-posted, which both backends absorb idempotently
-// (MTurk re-attaches to still-live HITs by UniqueRequestToken; the
-// simulator re-derives the same deterministic answers). On success the
-// journal is sealed "complete"; on error it is sealed with the reason
-// and remains resumable.
-//
-// Deprecated: construct a Client with WithJournal and use Client.Run;
-// this wrapper remains for compatibility.
-func RunQueryDurable(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	return runDurable(ctx, e, src, journalPath)
-}
-
-// runDurable starts a fresh journal at journalPath and runs src
-// through it (the body behind RunQueryDurable and Client.Run).
-func runDurable(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	j, err := wal.Create(journalPath, journalMeta(e, src))
-	if err != nil {
-		return nil, nil, err
-	}
-	return runJournaled(ctx, e, src, j)
-}
-
-// journalMeta identifies a run for its journal header.
-func journalMeta(e *Engine, src string) JournalMeta {
-	return JournalMeta{
-		Query:       src,
-		Backend:     fmt.Sprintf("%T", e.Market),
-		Fingerprint: queryFingerprint(e, src),
-	}
-}
-
-// Resume re-executes a durable run from its journal: recorded group
-// results replay from disk without touching the marketplace, breaker
-// checkpoints are verified (ErrJournalDiverged on mismatch), and
-// execution continues live from the last consistent frontier. The
-// engine must be configured identically to the original run — same
-// query, options, and backend kind — or Resume refuses the journal.
-// Resuming a journal sealed "complete" simply replays the whole run
-// and returns the same result.
-//
-// Deprecated: construct a Client with WithJournal and use
-// Client.Resume; this wrapper remains for compatibility.
-func Resume(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	return resumeJournal(ctx, e, src, journalPath)
-}
-
-// resumeJournal reopens journalPath, verifies its fingerprint, and
-// re-runs src through it (the body behind Resume and Client.Resume).
-func resumeJournal(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	j, err := wal.Open(journalPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	if got, want := j.Meta().Fingerprint, queryFingerprint(e, src); got != want {
-		j.Close()
-		return nil, nil, fmt.Errorf("qurk: journal %s was written by a different query or engine configuration (fingerprint %#x, want %#x)", journalPath, got, want)
-	}
-	return runJournaled(ctx, e, src, j)
-}
-
-// runJournaled runs src on a shallow engine copy whose marketplace is
-// wrapped with the journal; the copy shares the caller's ledger and
-// cache so accounting lands where it always does.
-func runJournaled(ctx context.Context, e *Engine, src string, j *wal.Journal) (*Relation, *ExecStats, error) {
-	return runJournaledStream(ctx, e, src, j, nil)
-}
-
-// runJournaledStream is runJournaled with incremental delivery through
-// sink (nil for none); Client.RunStream uses it for durable streaming
-// runs.
-func runJournaledStream(ctx context.Context, e *Engine, src string, j *wal.Journal, sink StreamSink) (*Relation, *ExecStats, error) {
-	defer j.Close()
-	e2 := *e
-	e2.Market = wal.NewMarket(e.Market, j)
-	e2.Journal = j
-	out, st, err := exec.RunQueryStreamContext(ctx, &e2, src, sink)
-	if err != nil {
-		// Best effort: the journal is already consistent record by
-		// record; the seal only annotates why the run stopped.
-		_ = j.Seal("interrupted: " + err.Error())
-		return nil, st, err
-	}
-	if serr := j.Seal(wal.SealComplete); serr != nil {
-		return out, st, serr
-	}
-	return out, st, nil
-}
-
-// queryFingerprint hashes everything that must match for a journal to
-// be replayable into a run: the query text, the engine options (which
-// fix batch sizes, seeds, and retry budgets — all of which shape HIT
-// identity), and the backend's concrete type.
-func queryFingerprint(e *Engine, src string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	h.Write([]byte{0})
-	if b, err := json.Marshal(e.Options); err == nil {
-		h.Write(b)
-	}
-	h.Write([]byte{0})
-	h.Write([]byte(fmt.Sprintf("%T", e.Market)))
-	return h.Sum64()
-}
 
 // --- Adaptive mechanisms (paper §6 future work, implemented) ---
 

@@ -1,20 +1,34 @@
 package qurk
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"qurk/internal/exec"
+	"qurk/internal/plan"
 )
+
+// runQuery parses, plans, and runs one query string on an engine the
+// test built itself: the path Client.Run takes.
+func runQuery(e *Engine, src string) (*Relation, *ExecStats, error) {
+	root, err := plan.BuildQuery(src, e.Library)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec.Run(context.Background(), e, root, nil)
+}
 
 // TestFacadeEndToEnd exercises the public API exactly as the README's
 // quick start does.
 func TestFacadeEndToEnd(t *testing.T) {
-	d := NewCelebrities(CelebrityConfig{N: 20, Seed: 1})
-	market := NewSimMarket(DefaultMarketConfig(1), d.Oracle())
-	eng := NewEngine(market, Options{})
-	eng.Catalog.Register(d.Celeb)
-	eng.Library.MustRegister(IsFemaleTask())
+	d, err := OpenDataset("celebrities", 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(NewSimMarket(DefaultMarketConfig(1), d.Oracle), WithDataset(d))
 
-	out, stats, err := RunQuery(eng, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+	out, stats, err := client.Run(context.Background(), `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +45,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeExplain(t *testing.T) {
 	d := NewCelebrities(CelebrityConfig{N: 5, Seed: 2})
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(2), d.Oracle()), Options{})
+	client := NewClient(NewSimMarket(DefaultMarketConfig(2), d.Oracle()))
+	eng := client.Engine()
 	eng.Catalog.Register(d.Celeb)
 	eng.Catalog.Register(d.Photos)
 	eng.Library.MustRegister(SamePersonTask())
 	eng.Library.MustRegister(GenderTask())
-	plan, err := Explain(eng, `
+	plan, err := client.Explain(`
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)`)
@@ -48,7 +63,7 @@ AND POSSIBLY gender(c.img) = gender(p.img)`)
 			t.Errorf("explain missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := Explain(eng, "not a query"); err == nil {
+	if _, err := client.Explain("not a query"); err == nil {
 		t.Error("explain should surface parse errors")
 	}
 }
@@ -93,12 +108,12 @@ SELECT c.name FROM celeb AS c WHERE isFemale(c.img);
 		t.Fatalf("script shape: %d tasks, %d queries", len(script.Tasks), len(script.Queries))
 	}
 	d := NewCelebrities(CelebrityConfig{N: 10, Seed: 4})
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(4), d.Oracle()), Options{})
-	eng.Catalog.Register(d.Celeb)
-	if err := eng.Library.LoadScript(script); err != nil {
+	client := NewClient(NewSimMarket(DefaultMarketConfig(4), d.Oracle()))
+	client.Engine().Catalog.Register(d.Celeb)
+	if err := client.Engine().Library.LoadScript(script); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := RunQuery(eng, script.Queries[0].String())
+	out, _, err := client.Run(context.Background(), script.Queries[0].String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,17 +36,17 @@ ORDER BY c.name`,
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
+		newClient: func(m Marketplace, extra ...ClientOption) *Client {
 			opts := Options{JoinAlgorithm: NaiveJoin, JoinBatch: 2, StreamChunkHITs: chunk, Seed: 7}
 			if enabled {
 				opts.Replan = ReplanOptions{Enabled: true, ProbeTuples: 4}
 			}
-			eng := NewEngine(m, opts)
-			eng.Catalog.Register(d.Celeb)
-			eng.Catalog.Register(d.Photos)
-			eng.Library.MustRegister(SamePersonTask())
-			eng.Library.MustRegister(GenderTask())
-			return eng
+			c := NewClient(m, append([]ClientOption{WithOptions(opts)}, extra...)...)
+			c.Engine().Catalog.Register(d.Celeb)
+			c.Engine().Catalog.Register(d.Photos)
+			c.Engine().Library.MustRegister(SamePersonTask())
+			c.Engine().Library.MustRegister(GenderTask())
+			return c
 		},
 	}
 }
@@ -64,15 +64,15 @@ func replanSortCase(enabled bool, minQuality float64, chunk int) durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, sq.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
+		newClient: func(m Marketplace, extra ...ClientOption) *Client {
 			opts := Options{StreamChunkHITs: chunk, Seed: 5}
 			if enabled {
 				opts.Replan = ReplanOptions{Enabled: true, MinQuality: minQuality}
 			}
-			eng := NewEngine(m, opts)
-			eng.Catalog.Register(sq.Rel)
-			eng.Library.MustRegister(SquareSorterTask())
-			return eng
+			c := NewClient(m, append([]ClientOption{WithOptions(opts)}, extra...)...)
+			c.Engine().Catalog.Register(sq.Rel)
+			c.Engine().Library.MustRegister(SquareSorterTask())
+			return c
 		},
 	}
 }
@@ -82,7 +82,7 @@ func replanSortCase(enabled bool, minQuality float64, chunk int) durableCase {
 func runCase(t *testing.T, c durableCase) (string, []string) {
 	t.Helper()
 	m := c.newMarket()
-	out, _, err := RunQuery(c.newEngine(m), c.query)
+	out, _, err := c.newClient(m).Run(context.Background(), c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,21 +266,20 @@ func TestExplainShowsObservedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(NewSimMarket(DefaultMarketConfig(13), d.Oracle), Options{JoinAlgorithm: NaiveJoin, Seed: 13})
-	eng.Catalog = d.Catalog
-	eng.Library = d.Library
+	client := NewClient(NewSimMarket(DefaultMarketConfig(13), d.Oracle),
+		WithDataset(d), WithOptions(Options{JoinAlgorithm: NaiveJoin, Seed: 13}))
 	const query = `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)`
-	_, stats, err := RunQuery(eng, query)
+	_, stats, err := client.Run(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.ObservedStats()) == 0 {
 		t.Fatal("run recorded no observed statistics")
 	}
-	rendered, err := Explain(eng, query, ExplainOptions{Actual: stats})
+	rendered, err := client.Explain(query, ExplainOptions{Actual: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
