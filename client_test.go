@@ -3,6 +3,7 @@ package qurk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -97,5 +98,77 @@ func TestClientSharedAnswerStore(t *testing.T) {
 	}
 	if out1.Len() != out2.Len() {
 		t.Fatalf("results diverge: %d rows vs %d", out1.Len(), out2.Len())
+	}
+}
+
+// TestClientSharedAnswerStoreMaterializingJoins: joins that drain their
+// inputs before laying out pairs — SmartBatch grids and §3.2 automatic
+// feature selection — serve their extraction, sample-join, and pair
+// questions from a shared answer store like every other crowd phase,
+// so re-running the identical query posts nothing.
+func TestClientSharedAnswerStoreMaterializingJoins(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		seed  int64
+		opts  Options
+		query string
+	}{
+		{"smart+possibly", 12, 3,
+			Options{JoinAlgorithm: SmartJoin, ExtractCombined: true},
+			`SELECT c.name, p.img FROM celeb c JOIN photos p
+			 ON samePerson(c.img, p.img) AND POSSIBLY gender(c.img) = gender(p.img)`},
+		{"naive+autoselect", 20, 5,
+			Options{JoinAlgorithm: NaiveJoin, JoinBatch: 5, ExtractCombined: true, AutoSelectFeatures: true},
+			`SELECT c.name FROM celeb c JOIN photos p
+			 ON samePerson(c.img, p.img)
+			 AND POSSIBLY gender(c.img) = gender(p.img)
+			 AND POSSIBLY hairColor(c.img) = hairColor(p.img)`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := OpenAnswerStore("", AnswerStorePolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			newClient := func() *Client {
+				d := NewCelebrities(CelebrityConfig{N: tc.n, Seed: tc.seed})
+				c := NewClient(NewSimMarket(DefaultMarketConfig(tc.seed), d.Oracle()),
+					WithOptions(tc.opts), WithAnswerStore(store))
+				c.Engine().Catalog.Register(d.Celeb)
+				c.Engine().Catalog.Register(d.Photos)
+				c.Engine().Library.MustRegister(SamePersonTask())
+				c.Engine().Library.MustRegister(GenderTask())
+				c.Engine().Library.MustRegister(HairColorTask())
+				return c
+			}
+			out1, stats1, err := newClient().Run(context.Background(), tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats1.TotalHITs() == 0 {
+				t.Fatal("first run posted no HITs")
+			}
+			out2, stats2, err := newClient().Run(context.Background(), tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats2.TotalHITs() != 0 {
+				var posted []string
+				for _, op := range stats2.Operators {
+					if op.HITs > 0 {
+						posted = append(posted, fmt.Sprintf("%s=%d", op.Label, op.HITs))
+					}
+				}
+				t.Fatalf("second run posted %d HITs, want 0: %v", stats2.TotalHITs(), posted)
+			}
+			if stats2.TotalReused() == 0 {
+				t.Fatal("second run reused no stored answers")
+			}
+			if out1.Len() != out2.Len() {
+				t.Fatalf("results diverge: %d rows vs %d", out1.Len(), out2.Len())
+			}
+		})
 	}
 }

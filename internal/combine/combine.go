@@ -40,16 +40,6 @@ type Combiner interface {
 	Name() string
 }
 
-// Cloner is implemented by combiners that can mint an independent
-// instance for use by a concurrent consumer. Stateful combiners
-// (QualityAdjust, GoldScreen) mutate per-Combine state, so operators
-// that overlap phases clone them instead of sharing one instance.
-type Cloner interface {
-	// CloneCombiner returns a combiner with the same configuration and
-	// no shared mutable state.
-	CloneCombiner() Combiner
-}
-
 // PerQuestion marks combiners whose decision for a question depends
 // only on that question's own votes. Streaming operators may hand such
 // combiners votes one HIT at a time and merge the partial decision maps
@@ -84,9 +74,6 @@ func groupByQuestion(votes []Vote) (order []string, byQ map[string][]Vote) {
 // MajorityVote returns the most popular answer per question (paper §2.1).
 // Ties break lexicographically smallest-first for determinism.
 type MajorityVote struct{}
-
-// CloneCombiner implements Cloner (MajorityVote is stateless).
-func (MajorityVote) CloneCombiner() Combiner { return MajorityVote{} }
 
 // CombinesPerQuestion implements PerQuestion: each question's majority
 // is computed from that question's votes alone.

@@ -103,13 +103,3 @@ func (g *GoldScreen) Combine(votes []Vote) (map[string]Decision, error) {
 	}
 	return inner.Combine(kept)
 }
-
-// CloneCombiner implements Cloner: the gold answer key is read-only and
-// shared; the mutable ban list and the inner combiner are fresh.
-func (g *GoldScreen) CloneCombiner() Combiner {
-	inner := g.Inner
-	if c, ok := inner.(Cloner); ok {
-		inner = c.CloneCombiner()
-	}
-	return &GoldScreen{Gold: g.Gold, MinAccuracy: g.MinAccuracy, MinGoldVotes: g.MinGoldVotes, Inner: inner}
-}

@@ -353,7 +353,3 @@ func CombineRatings(ratings map[string][]float64) map[string]RatingSummary {
 // ErrNoVotes reports combination over an empty vote set for a question
 // that was expected to have answers.
 var ErrNoVotes = fmt.Errorf("combine: no votes")
-
-// CloneCombiner implements Cloner: a fresh EM combiner with the same
-// configuration and its own worker-quality state.
-func (qa *QualityAdjust) CloneCombiner() Combiner { return NewQualityAdjust(qa.cfg) }

@@ -419,8 +419,8 @@ type Engine struct {
 	// Answers, when non-nil, is the shared cross-query answer store: a
 	// question whose content already has servable votes is answered from
 	// the store and never posted, and every freshly collected question
-	// feeds it. Unlike Cache (per-run, consulted only by the adaptive
-	// filter path), Answers is consulted by every crowd operator and is
+	// feeds it. Unlike Cache (per-engine, read only by the crowd filter
+	// operator), Answers is consulted by every crowd operator and is
 	// typically shared by many engines in a qurkd process.
 	Answers AnswerStore
 	// ObStats, when non-nil, is the shared observed-statistics store:

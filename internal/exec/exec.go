@@ -16,7 +16,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +23,6 @@ import (
 	"qurk/internal/combine"
 	"qurk/internal/core"
 	"qurk/internal/hit"
-	"qurk/internal/join"
 	"qurk/internal/plan"
 	"qurk/internal/poster"
 	"qurk/internal/query"
@@ -73,11 +71,10 @@ type Stats struct {
 	PipelineMakespanHours float64
 }
 
-func (s *Stats) add(st OpStat, incomplete ...string) {
+func (s *Stats) add(st OpStat) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Operators = append(s.Operators, st)
-	s.Incomplete = append(s.Incomplete, incomplete...)
 }
 
 // addReused bumps the answer-store reuse counter.
@@ -182,12 +179,11 @@ type Sink func(tuples []relation.Tuple, ready float64) error
 // forward rows while crowd work is still in flight; the fully
 // materialized relation is still returned at the end.
 //
-// When ctx is done, streaming operators stop posting HITs and the
-// pipeline unwinds. Chunks already on the marketplace complete (posted
-// crowd work cannot be recalled) but are no longer waited for.
-// Pipeline breakers that post through blocking marketplace calls
-// (crowd sorts, join feature extraction) observe cancellation at their
-// next phase boundary, not mid-phase.
+// When ctx is done, every operator stops posting HITs and the pipeline
+// unwinds: all crowd work, pipeline breakers included, posts through
+// the chunked poster, whose collection waits on ctx. Chunks already on
+// the marketplace complete (posted crowd work cannot be recalled) but
+// are no longer waited for.
 //
 // Against a simulated marketplace, crowd randomness derives from the
 // market seed plus content-stable HIT-group IDs, so re-running the same
@@ -667,54 +663,17 @@ func (x *executor) buildGenerative(child Operator, label, groupID string, gt *ta
 	return g, nil
 }
 
-// selectFeatures implements §3.2's automatic feature pruning inside the
-// declarative path: a crowd join over a sample of the cross product
-// supplies reference matches, and ChooseFeatures applies the paper's
-// three discard rules (κ ambiguity, result loss, selectivity).
-func (x *executor) selectFeatures(n *plan.CrowdJoin, left, right *relation.Relation,
-	le, re *join.Extraction, jopts join.Options, path string) ([]join.Feature, error) {
-	cfg := x.eng.Options.FeatureSelection
-	if cfg.SampleFrac == 0 {
-		cfg.SampleFrac = 0.15
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = x.eng.Options.Seed + 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sample := join.SamplePairs(left, right, cfg.SampleFrac, rng)
-	sopts := jopts
-	sopts.GroupID = x.groupID("select-sample/"+n.Task.Name, path+".fs")
-	sres, err := join.Run(sample, n.Task, sopts, x.eng.Market)
-	if err != nil {
-		return nil, err
-	}
-	x.account("feature-selection sample join", sopts.Assignments, sres.HITCount, sres.AssignmentCount, sres.MakespanHours)
-	var ref []join.Pair
-	for _, m := range sres.Matches {
-		ref = append(ref, m.Pair)
-	}
-	kept, verdicts, err := join.ChooseFeatures(left, right, le, re, n.LeftFeatures, ref, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range verdicts {
-		if !v.Kept {
-			x.stats.add(OpStat{Label: fmt.Sprintf("feature %q discarded: %s", v.Feature, v.Reason)})
-		}
-	}
-	return kept, nil
-}
-
-// runSortQuestions posts one sort round's questions through the
-// chunked poster — fixed-size HITs, chunked sub-groups, bounded
-// lookahead, and the refusal/expiry retry policies (previously sorts
-// posted one blocking group and silently accepted partial votes) —
-// feeding every answer into add. It registers a Stats slot under
-// label, returns the round's completion time on the virtual clock, and
-// reports exhausted questions via Stats.Incomplete.
-func (x *executor) runSortQuestions(ctx context.Context, label, groupID string,
+// runQuestions posts one phase's questions through the chunked poster
+// — fixed-size HITs of perHIT questions, chunked sub-groups, bounded
+// lookahead, and the refusal/expiry retry policies — serving what the
+// shared answer store already holds and feeding it what the crowd
+// answers. add receives every resolved question's answers. It
+// registers a Stats slot under label, returns the phase's completion
+// time on the virtual clock (clock when nothing posted), and reports
+// exhausted questions via Stats.Incomplete.
+func (x *executor) runQuestions(ctx context.Context, label, groupID string,
 	questions []hit.Question, perHIT, assignments int, clock float64,
-	add func(qid string, ans hit.Answer)) (float64, *opAcct, error) {
+	add func(q *hit.Question, as []hit.CachedAnswer)) (float64, *opAcct, error) {
 	acct := &opAcct{x: x, label: label, asn: assignments, slot: x.stats.registerOp(label)}
 	p := x.newPoster(groupID, new(int), acct)
 	b := hit.NewBuilder(groupID, assignments, 1)
@@ -735,9 +694,7 @@ func (x *executor) runSortQuestions(ctx context.Context, label, groupID string,
 					return clock, acct, err
 				}
 				if ok {
-					for _, ca := range as {
-						add(q.ID, ca.Answer)
-					}
+					add(q, as)
 					served = true
 				}
 			}
@@ -752,21 +709,27 @@ func (x *executor) runSortQuestions(ctx context.Context, label, groupID string,
 	}
 	done, err := p.Drain(ctx, clock, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
 		x.answersStore(q, as)
-		for _, ca := range as {
-			add(q.ID, ca.Answer)
-		}
+		add(q, as)
 		return nil
 	})
 	return done, acct, err
 }
 
+// perAnswer adapts a sort tally's per-answer Add to runQuestions.
+func perAnswer(add func(qid string, ans hit.Answer)) func(*hit.Question, []hit.CachedAnswer) {
+	return func(q *hit.Question, as []hit.CachedAnswer) {
+		for _, ca := range as {
+			add(q.ID, ca.Answer)
+		}
+	}
+}
+
 // crowdSort orders one group's rows with the node's chosen sort
 // interface (engine defaults when un-annotated), accounting its
 // spending, and returns the order plus the time the sort settled on
-// the virtual clock. Comparison and rating rounds post through the
-// chunked poster; the hybrid algorithm's rating seed does too, with
-// only its inherently sequential comparison refinements still posting
-// one blocking single-question HIT per iteration.
+// the virtual clock. Comparison and rating rounds, the hybrid
+// algorithm's rating seed, and its comparison refinements all post
+// through the chunked poster.
 func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *plan.CrowdOrderBy, sp plan.SortPhys, path string, clock float64) ([]int, float64, error) {
 	if sub.Len() == 1 {
 		return []int{0}, clock, nil
@@ -784,7 +747,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		if err != nil {
 			return nil, 0, err
 		}
-		done, _, err := x.runSortQuestions(ctx, n.Label(), gid, questions, 1, sp.Assignments, clock, tally.Add)
+		done, _, err := x.runQuestions(ctx, n.Label(), gid, questions, 1, sp.Assignments, clock, perAnswer(tally.Add))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -804,7 +767,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		if err != nil {
 			return nil, 0, err
 		}
-		done, _, err := x.runSortQuestions(ctx, n.Label(), gid, questions, batch, sp.Assignments, clock, tally.Add)
+		done, _, err := x.runQuestions(ctx, n.Label(), gid, questions, batch, sp.Assignments, clock, perAnswer(tally.Add))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -825,7 +788,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		if err != nil {
 			return nil, 0, err
 		}
-		done, acct, err := x.runSortQuestions(ctx, n.Label()+" [rate seed]", gid+"/rate", questions, batch, sp.Assignments, clock, tally.Add)
+		done, acct, err := x.runQuestions(ctx, n.Label()+" [rate seed]", gid+"/rate", questions, batch, sp.Assignments, clock, perAnswer(tally.Add))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -894,9 +857,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 					p.Enqueue(h)
 				}
 			}
-			for p.CanPost() && p.HasChunk(true) {
-				p.PostOne(done)
-			}
+			p.PostReady(true, done)
 			if p.OldestSeq() < 0 {
 				continue
 			}
@@ -916,11 +877,6 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 	default:
 		return nil, 0, fmt.Errorf("exec: unknown sort method %v", sp.Method)
 	}
-}
-
-func (x *executor) account(label string, asnPerHIT, hits, assignments int, makespan float64, incomplete ...string) {
-	x.eng.Ledger.Add(label, hits, asnPerHIT)
-	x.stats.add(OpStat{Label: label, HITs: hits, Assignments: assignments, Makespan: makespan}, incomplete...)
 }
 
 // comparePossibly evaluates extractedValue op literal with the paper's

@@ -9,13 +9,18 @@
 // combiners; a stateful combiner defers to one end-of-stream combine,
 // exactly as the other streaming operators do.
 //
+// A join that needs the global candidate set (SmartBatch grids, §3.2
+// feature selection) drains its inputs first and then ingests them
+// whole into the same streams; only there does a stream also tally κ
+// rating matrices and package its values as a join.Extraction.
+//
 // Questions that exhaust their retry budgets resolve to UNKNOWN — the
 // paper's wildcard, which never prunes a candidate pair (§2.4) — and
-// are reported in Stats.Incomplete. Before this path existed the
-// blocking extraction pass silently accepted partial votes.
+// are reported in Stats.Incomplete.
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -58,6 +63,9 @@ type extStream struct {
 	eos      bool
 	final    bool
 	lastDone float64
+	// kappa, when non-nil, tallies every vote per subject for §3.2
+	// feature selection (see tallyKappa).
+	kappa *join.KappaTally
 }
 
 // newExtStream builds an extraction stream; label names its Stats slot
@@ -98,6 +106,30 @@ func (x *executor) newExtStream(label, groupID string, features []join.Feature, 
 	e.acct = &opAcct{x: x, label: label, asn: assignments, slot: x.stats.registerOp(label)}
 	e.post = x.newPoster(groupID, seq, e.acct)
 	return e, nil
+}
+
+// tallyKappa makes the stream record every vote it resolves in
+// per-feature rating matrices over n subjects — the κ input of §3.2
+// feature selection. Call before ingesting; streams left without it do
+// no per-vote work beyond resolving values.
+func (e *extStream) tallyKappa(n int) error {
+	k, err := join.NewKappaTally(e.features, n)
+	e.kappa = k
+	return err
+}
+
+// extraction packages a fully resolved stream over the materialized
+// rel as a join.Extraction: values keyed by tuple (what PairPasses and
+// ChooseFeatures read) plus the κ matrices when tallied.
+func (e *extStream) extraction(rel *relation.Relation) *join.Extraction {
+	ext := &join.Extraction{Relation: rel, Values: make(map[uint64]map[string]string, rel.Len())}
+	for i := 0; i < rel.Len(); i++ {
+		ext.Values[rel.Row(i).Key()] = e.values[i]
+	}
+	if e.kappa != nil {
+		ext.Matrices = e.kappa.Matrices
+	}
+	return ext
 }
 
 // ingest mints subject i's extraction question(s) and flushes full
@@ -178,6 +210,12 @@ func (e *extStream) resolveCollected(q *hit.Question, as []hit.CachedAnswer, don
 	return e.resolveQ(q, as, done)
 }
 
+// collect awaits the stream's oldest in-flight chunk and resolves it.
+func (e *extStream) collect(ctx context.Context) error {
+	_, err := e.post.CollectOne(ctx, e.resolveCollected)
+	return err
+}
+
 // finishInput flushes the trailing partial HIT; no more subjects will
 // be ingested.
 func (e *extStream) finishInput() error {
@@ -202,6 +240,17 @@ func (e *extStream) resolveQ(q *hit.Question, as []hit.CachedAnswer, done float6
 	}
 	if done > e.ready[i] {
 		e.ready[i] = done
+	}
+	if e.kappa != nil {
+		for _, field := range q.Fields {
+			for _, ca := range as {
+				if raw, ok := ca.Answer.Fields[field]; ok {
+					if err := e.kappa.Add(i, field, raw); err != nil {
+						return err
+					}
+				}
+			}
+		}
 	}
 	if !e.perQ {
 		for _, field := range q.Fields {

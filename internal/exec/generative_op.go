@@ -170,9 +170,7 @@ func (g *generativeOp) release(s *gslot) error {
 }
 
 func (g *generativeOp) step(ctx context.Context) error {
-	for g.post.CanPost() && g.post.HasChunk(g.eos) {
-		g.post.PostOne(g.clock)
-	}
+	g.post.PostReady(g.eos, g.clock)
 	if !g.eos && !g.closed && !g.post.Backlogged() {
 		in, err := g.child.Next(ctx)
 		if err != nil {

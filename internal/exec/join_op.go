@@ -11,13 +11,16 @@
 // inherits the refusal/expiry retry policies. SmartBatch grid layout
 // and automatic feature selection still need a global view of the
 // candidates, so those paths materialize the probe side too (memory
-// O(|R|+|S|)); posting and collection stay chunked and incremental
-// either way, which is what lets LIMIT stop the spend.
+// O(|R|+|S|)) and then extract through the same streams; posting and
+// collection stay chunked and incremental either way, which is what
+// lets LIMIT stop the spend and cancellation stop the wait.
 package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 
 	"qurk/internal/combine"
 	"qurk/internal/cost"
@@ -126,7 +129,7 @@ func (j *crowdJoinOp) Breakers() []BreakerInfo {
 		if lf, _ := j.features(); len(lf) > 0 {
 			infos = append(infos, BreakerInfo{
 				Kind: BreakerExtraction,
-				Note: "feature extraction runs as a blocking pass over the materialized inputs",
+				Note: "features of the drained inputs are extracted, chunk by chunk, before pair layout",
 			})
 		}
 	} else {
@@ -174,14 +177,15 @@ func (j *crowdJoinOp) streamsExtraction() bool {
 	return len(lf) > 0 && !j.materializesLeft()
 }
 
-// initExtraction sets up the streaming extraction state at build time
+// initExtraction sets up both sides' extraction streams at build time
 // so the extract-left/extract-right Stats slots appear in
-// deterministic plan order.
+// deterministic plan order. The streaming path feeds them per arriving
+// batch; the materializing path ingests its drained inputs whole.
 func (j *crowdJoinOp) initExtraction() error {
-	if !j.streamsExtraction() {
+	lf, rf := j.features()
+	if len(lf) == 0 {
 		return nil
 	}
-	lf, rf := j.features()
 	var err error
 	j.xl, err = j.x.newExtStream("extract-left",
 		j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl"), lf, j.phys.Assignments, &j.seq)
@@ -252,12 +256,12 @@ func (j *crowdJoinOp) Next(ctx context.Context) (*Batch, error) {
 }
 
 // start materializes the build side (and, when the candidate layout
-// needs it, the probe side plus extractions) before any pair HIT is
-// posted. Both subtrees are exchange-wrapped, so they execute
-// concurrently — the paper's §2.5 pipelined left-deep execution. On
-// the streaming-extraction path the build side's extraction questions
-// are minted here but posted and collected chunk by chunk inside
-// step(), interleaved with the probe side's extraction.
+// needs it, the probe side, its extractions, and the §3.2 sample join)
+// before any pair HIT is posted. Both subtrees are exchange-wrapped, so
+// they execute concurrently — the paper's §2.5 pipelined left-deep
+// execution. On the streaming-extraction path the build side's
+// extraction questions are minted inside step() and posted and
+// collected chunk by chunk, interleaved with the probe side's.
 func (j *crowdJoinOp) start(ctx context.Context) error {
 	j.started = true
 	opts := &j.x.eng.Options
@@ -289,20 +293,18 @@ func (j *crowdJoinOp) start(ctx context.Context) error {
 	}
 
 	// Drain both sides concurrently.
-	type side struct {
-		rel   *relation.Relation
-		ready float64
-		err   error
-	}
-	lch := make(chan side, 1)
+	var left *relation.Relation
+	var lReady float64
+	var lerr error
+	drained := make(chan struct{})
 	go func() {
-		rel, ready, err := drainRelation(ctx, j.left)
-		lch <- side{rel, ready, err}
+		left, lReady, lerr = drainRelation(ctx, j.left)
+		close(drained)
 	}()
 	right, rReady, rerr := drainRelation(ctx, j.right)
-	l := <-lch
-	if l.err != nil {
-		return l.err
+	<-drained
+	if lerr != nil {
+		return lerr
 	}
 	if rerr != nil {
 		return rerr
@@ -311,153 +313,241 @@ func (j *crowdJoinOp) start(ctx context.Context) error {
 	if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", j.rightRel.digest(), rReady); err != nil {
 		return err
 	}
-	j.clock = l.ready
+	j.clock = lReady
 	if rReady > j.clock {
 		j.clock = rReady
 	}
 
 	var le, re *join.Extraction
-	features, rightFeatures := j.features()
-	var names []string
+	features, _ := j.features()
 	if len(features) > 0 {
-		// Extraction and the feature-selection sample join post via
-		// blocking market calls; honor cancellation at the phase
-		// boundary at least.
-		if err := ctx.Err(); err != nil {
+		// An empty side leaves no candidates to sample and no votes to rate.
+		autoSelect := opts.AutoSelectFeatures && left.Len() > 0 && right.Len() > 0
+		if err := j.drainExtraction(ctx, left, right, autoSelect); err != nil {
 			return err
 		}
-		lcomb, err := j.x.eng.Combiner()
-		if err != nil {
-			return err
-		}
-		rcomb, err := j.x.eng.Combiner()
-		if err != nil {
-			return err
-		}
-		extOpts := join.ExtractOptions{
-			Combined:    opts.ExtractCombined,
-			BatchSize:   opts.ExtractBatch,
-			Assignments: j.phys.Assignments,
-		}
-		lo := extOpts
-		lo.Combiner = lcomb
-		lo.GroupID = j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl")
-		ro := extOpts
-		ro.Combiner = rcomb
-		ro.GroupID = j.x.groupID("extract-right/"+j.node.Task.Name, j.path+".xr")
-		var xerr error
-		le, re, xerr = join.ExtractBoth(l.rel, right, features, rightFeatures, lo, ro, j.x.eng.Market)
-		// Account whichever sides completed even when the other failed —
-		// those HITs were spent regardless.
-		if le != nil {
-			j.x.account("extract-left", j.phys.Assignments, le.HITCount, le.AssignmentCount, 0)
-		}
-		if re != nil {
-			j.x.account("extract-right", j.phys.Assignments, re.HITCount, re.AssignmentCount, 0)
-		}
-		if xerr != nil {
-			return xerr
-		}
-		if opts.AutoSelectFeatures {
-			kept, err := j.x.selectFeatures(j.node, l.rel, right, le, re, j.joinOptions(), j.path)
-			if err != nil {
+		le, re = j.xl.extraction(left), j.xr.extraction(right)
+		if autoSelect {
+			var err error
+			if features, err = j.selectFeatures(ctx, left, right, le, re); err != nil {
 				return err
 			}
-			features = kept
-		}
-		names = make([]string, len(features))
-		for i, f := range features {
-			names[i] = f.Field
 		}
 	}
+	names := make([]string, len(features))
+	for i, f := range features {
+		names[i] = f.Field
+	}
+	// Every candidate posts (or is served) no earlier than the phases
+	// above finished, so the operator cannot settle before them either.
+	j.emit.advance(j.clock)
 
 	if j.phys.Algorithm == join.Smart {
-		return j.layoutGrids(l.rel, right, le, re, names)
+		var seq join.PairSeq
+		if len(names) > 0 {
+			seq = join.FilteredSeq(left, right, le, re, names)
+		} else {
+			seq = join.CrossSeq(left, right)
+		}
+		j.pairsDone = true
+		return j.layoutGrids(seq, j.phys.GridRows, j.phys.GridCols, j.clock)
 	}
-	j.iter = join.NewPairIter(l.rel, right, le, re, names)
+	j.iter = join.NewPairIter(left, right, le, re, names)
 	return nil
 }
 
-// joinOptions mirrors the materializing executor's join.Options for
-// the feature-selection sample join.
-func (j *crowdJoinOp) joinOptions() join.Options {
-	comb, _ := j.x.eng.Combiner()
-	return join.Options{
-		Algorithm:   j.phys.Algorithm,
-		BatchSize:   j.phys.BatchSize,
-		GridRows:    j.phys.GridRows,
-		GridCols:    j.phys.GridCols,
-		Assignments: j.phys.Assignments,
-		Combiner:    comb,
-		GroupID:     j.x.groupID("join/"+j.node.Task.Name, j.path),
+// drainExtraction extracts both drained inputs' features through their
+// streams: every row is ingested up front, chunks post at the inputs'
+// ready time within the lookahead, and the globally oldest in-flight
+// chunk of either side is collected first, so both sides overlap on the
+// marketplace. With kappa the streams also tally κ matrices for §3.2
+// feature selection. It returns once every subject resolved, advancing
+// the operator clock past the last extraction chunk.
+func (j *crowdJoinOp) drainExtraction(ctx context.Context, left, right *relation.Relation, kappa bool) error {
+	sides := [2]*extStream{j.xl, j.xr}
+	for i, rel := range [2]*relation.Relation{left, right} {
+		if kappa {
+			if err := sides[i].tallyKappa(rel.Len()); err != nil {
+				return err
+			}
+		}
+		for r := 0; r < rel.Len(); r++ {
+			if err := sides[i].ingest(rel.Row(r)); err != nil {
+				return err
+			}
+		}
+		if err := sides[i].finishInput(); err != nil {
+			return err
+		}
 	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, e := range sides {
+			e.post.PostReady(true, j.clock)
+		}
+		i := oldestInFlight(j.xl.post, j.xr.post)
+		if i < 0 {
+			break
+		}
+		if err := sides[i].collect(ctx); err != nil {
+			return err
+		}
+	}
+	for _, e := range sides {
+		if err := e.finalizeEOS(); err != nil {
+			return err
+		}
+		if e.lastDone > j.clock {
+			j.clock = e.lastDone
+		}
+	}
+	return nil
 }
 
-// layoutGrids builds every SmartBatch grid HIT up front (the layout
-// needs the full candidate set) and queues them for chunked posting.
-func (j *crowdJoinOp) layoutGrids(left, right *relation.Relation, le, re *join.Extraction, names []string) error {
-	var seq join.PairSeq
-	if len(names) > 0 {
-		seq = join.FilteredSeq(left, right, le, re, names)
-	} else {
-		seq = join.CrossSeq(left, right)
+// oldestInFlight returns the index of the poster whose oldest in-flight
+// chunk was posted first — posters of one operator share sequence
+// numbers, so this fixes a deterministic collection order — or -1 when
+// nothing is in flight.
+func oldestInFlight(ps ...*poster.Poster) int {
+	best := -1
+	for i, p := range ps {
+		if seq := p.OldestSeq(); seq >= 0 && (best < 0 || seq < ps[best].OldestSeq()) {
+			best = i
+		}
 	}
-	hits, err := join.SmartGridHITs(j.builder, seq, func(p join.Pair) { j.noteSlot(p) },
-		j.node.Task.Name, j.phys.GridRows, j.phys.GridCols)
+	return best
+}
+
+// selectFeatures implements §3.2's automatic feature pruning: a crowd
+// join over a sample of the cross product, posted through the chunked
+// poster with the join's own interface once extraction settled,
+// supplies reference matches, and ChooseFeatures applies the paper's
+// three discard rules (κ ambiguity, result loss, selectivity). It
+// returns the kept features, advancing the operator clock past the
+// sample join.
+func (j *crowdJoinOp) selectFeatures(ctx context.Context, left, right *relation.Relation, le, re *join.Extraction) ([]join.Feature, error) {
+	x, task := j.x, j.node.Task.Name
+	cfg := x.eng.Options.FeatureSelection
+	if cfg.SampleFrac == 0 {
+		cfg.SampleFrac = 0.15
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = x.eng.Options.Seed + 1
+	}
+	sample := join.SamplePairs(left, right, cfg.SampleFrac, rand.New(rand.NewSource(cfg.Seed)))
+	gid := x.groupID("select-sample/"+task, j.path+".fs")
+	var questions []hit.Question
+	if j.phys.Algorithm == join.Smart {
+		grids, err := join.SmartGridHITs(hit.NewBuilder(gid, j.phys.Assignments, 1), join.SliceSeq(sample),
+			func(join.Pair) {}, task, j.phys.GridRows, j.phys.GridCols)
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range grids {
+			questions = append(questions, h.Questions...)
+		}
+	} else {
+		for _, p := range sample {
+			questions = append(questions, hit.Question{ID: p.Key(), Kind: hit.JoinPairQ, Task: task, Left: p.Left, Right: p.Right})
+		}
+	}
+	var votes []combine.Vote
+	done, _, err := x.runQuestions(ctx, "feature-selection sample join", gid, questions, j.pairBatch(), j.phys.Assignments, j.clock,
+		func(q *hit.Question, as []hit.CachedAnswer) {
+			forEachPairVotes(q, as, func(_ string, vs []combine.Vote) { votes = append(votes, vs...) })
+		})
+	if err != nil {
+		return nil, err
+	}
+	j.clock = done
+	// A fresh combiner: stateful ones (QualityAdjust, GoldScreen) must
+	// not carry the sample's state into the join proper.
+	comb, err := x.eng.Combiner()
+	if err != nil {
+		return nil, err
+	}
+	decisions, err := comb.Combine(votes)
+	if err != nil {
+		return nil, err
+	}
+	var ref []join.Pair
+	for _, p := range sample {
+		if d, ok := decisions[p.Key()]; ok && d.Value == "yes" {
+			ref = append(ref, p)
+		}
+	}
+	kept, verdicts, err := join.ChooseFeatures(left, right, le, re, j.node.LeftFeatures, ref, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range verdicts {
+		if !v.Kept {
+			x.stats.add(OpStat{Label: fmt.Sprintf("feature %q discarded: %s", v.Feature, v.Reason)})
+		}
+	}
+	return kept, nil
+}
+
+// layoutGrids lays candidate pairs out as r×s SmartBatch grids (the
+// layout needs the full candidate set: a materialized join's whole
+// cross product, or the tail buffered since a mid-run Naive→Smart
+// switch), decides whole grids from the answer store where it can,
+// counts each posted cell as pending on its slot, and queues the rest
+// on the pair poster; collectChunk's per-cell expansion resolves them.
+// clock is when the candidates became known.
+func (j *crowdJoinOp) layoutGrids(seq join.PairSeq, r, s int, clock float64) error {
+	hits, err := join.SmartGridHITs(j.builder, seq, func(p join.Pair) { j.noteSlot(p) }, j.node.Task.Name, r, s)
 	if err != nil {
 		return err
 	}
-	// Serve whole grid HITs from the answer store where possible: a grid
-	// question's content key covers its full item layout, so a stored
-	// entry decides every cell (a candidate's cell lives in exactly one
-	// grid HIT). Grids are built one question per HIT, so serving is
-	// all-or-nothing per HIT; multi-question HITs always post.
-	var post []*hit.HIT
+	// A grid question's content key covers its full item layout, so a
+	// stored entry decides every cell (a candidate's cell lives in exactly
+	// one grid HIT). Grids are built one question per HIT, so serving is
+	// all-or-nothing per HIT.
+	post := hits[:0]
 	for _, h := range hits {
-		if len(h.Questions) == 1 {
-			as, ok, err := j.x.answersLookup(&h.Questions[0], j.clock)
-			if err != nil {
+		q := &h.Questions[0]
+		as, ok, err := j.x.answersLookup(q, clock)
+		if err != nil {
+			return err
+		}
+		if ok {
+			if err := j.applyStored(q, as, clock); err != nil {
 				return err
 			}
-			if ok {
-				if err := j.applyGridAnswers(&h.Questions[0], as, j.clock); err != nil {
-					return err
+			continue
+		}
+		for _, lt := range q.LeftItems {
+			for _, rt := range q.RightItems {
+				if idx, ok := j.slotOf[join.Pair{Left: lt, Right: rt}.Key()]; ok {
+					j.slots[idx].pending++
 				}
-				continue
 			}
 		}
 		post = append(post, h)
 	}
-	for _, h := range post {
-		for qi := range h.Questions {
-			q := &h.Questions[qi]
-			for _, lt := range q.LeftItems {
-				for _, rt := range q.RightItems {
-					key := join.Pair{Left: lt, Right: rt}.Key()
-					if idx, ok := j.slotOf[key]; ok {
-						j.slots[idx].pending++
-					}
-				}
-			}
-		}
-	}
 	j.post.Enqueue(post...)
-	j.pairsDone = true
 	return nil
 }
 
-// applyGridAnswers decides every cell of one store-served grid question
-// from its stored worker answers — the same per-cell vote expansion
-// join.CollectVotes performs for freshly collected grids.
-func (j *crowdJoinOp) applyGridAnswers(q *hit.Question, as []hit.CachedAnswer, clock float64) error {
+// forEachPairVotes expands one join question's worker answers into
+// per-pair yes/no votes: a pair question votes on its own pair (keyed
+// by its ID), a grid question on every cell, selected cells voting yes
+// — the per-question form of join.CollectVotes.
+func forEachPairVotes(q *hit.Question, as []hit.CachedAnswer, visit func(key string, votes []combine.Vote)) {
+	if q.Kind != hit.JoinGridQ {
+		votes := make([]combine.Vote, 0, len(as))
+		for _, ca := range as {
+			votes = append(votes, combine.Vote{Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
+		}
+		visit(q.ID, votes)
+		return
+	}
 	for li, lt := range q.LeftItems {
 		for ri, rt := range q.RightItems {
 			key := join.Pair{Left: lt, Right: rt}.Key()
-			idx, ok := j.slotOf[key]
-			if !ok {
-				continue
-			}
-			s := j.slots[idx]
 			votes := make([]combine.Vote, 0, len(as))
 			for _, ca := range as {
 				sel := false
@@ -469,24 +559,37 @@ func (j *crowdJoinOp) applyGridAnswers(q *hit.Question, as []hit.CachedAnswer, c
 				}
 				votes = append(votes, combine.Vote{Question: key, Worker: ca.WorkerID, Value: combine.BoolVote(sel)})
 			}
-			s.served = true
-			if clock > s.ready {
-				s.ready = clock
-			}
-			if j.perQ {
-				s.votes = append(s.votes, votes...)
-				if !s.decided {
-					if err := j.decideSlot(s, key); err != nil {
-						return err
-					}
-					s.decided = true
-				}
-			} else {
-				j.eosVotes = append(j.eosVotes, votes...)
-			}
+			visit(key, votes)
 		}
 	}
-	return nil
+}
+
+// applyStored decides the pairs of one question served from the answer
+// store — its own pair, or every cell of a grid — from the stored
+// worker answers, at clock.
+func (j *crowdJoinOp) applyStored(q *hit.Question, as []hit.CachedAnswer, clock float64) error {
+	var err error
+	forEachPairVotes(q, as, func(key string, votes []combine.Vote) {
+		idx, ok := j.slotOf[key]
+		if !ok || err != nil {
+			return
+		}
+		s := j.slots[idx]
+		s.served = true
+		if clock > s.ready {
+			s.ready = clock
+		}
+		if !j.perQ {
+			j.eosVotes = append(j.eosVotes, votes...)
+			return
+		}
+		s.votes = append(s.votes, votes...)
+		if !s.decided {
+			err = j.decideSlot(s, key)
+			s.decided = true
+		}
+	})
+	return err
 }
 
 // noteSlot registers a candidate pair, deduplicating by content key
@@ -524,24 +627,7 @@ func (j *crowdJoinOp) mintPair(p join.Pair, key string, s *jslot, isNew bool, ba
 			return err
 		}
 		if ok {
-			votes := make([]combine.Vote, 0, len(as))
-			for _, ca := range as {
-				votes = append(votes, combine.Vote{Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
-			}
-			s.served = true
-			if clock > s.ready {
-				s.ready = clock
-			}
-			if j.perQ {
-				s.votes = votes
-				if err := j.decideSlot(s, q.ID); err != nil {
-					return err
-				}
-				s.decided = true
-			} else {
-				j.eosVotes = append(j.eosVotes, votes...)
-			}
-			return nil
+			return j.applyStored(&q, as, clock)
 		}
 	}
 	s.pending++
@@ -610,9 +696,7 @@ func (j *crowdJoinOp) step(ctx context.Context) error {
 	if j.streamsExtraction() {
 		return j.stepExtracting(ctx, batch)
 	}
-	for j.post.CanPost() && j.post.HasChunk(j.pairsDone) {
-		j.post.PostOne(j.clock)
-	}
+	j.post.PostReady(j.pairsDone, j.clock)
 	if !j.pairsDone && !j.closed && !j.post.Backlogged() {
 		// Fill one chunk's worth of HITs (bounded work per step).
 		want := j.x.eng.Options.StreamChunkHITs * batch
@@ -674,15 +758,9 @@ func (j *crowdJoinOp) stepExtracting(ctx context.Context, batch int) error {
 		}
 	}
 	// Post.
-	for j.xr.post.CanPost() && j.xr.post.HasChunk(j.xr.eos) {
-		j.xr.post.PostOne(j.clock)
-	}
-	for j.xl.post.CanPost() && j.xl.post.HasChunk(j.xl.eos) {
-		j.xl.post.PostOne(j.clock)
-	}
-	for j.post.CanPost() && j.post.HasChunk(j.pairsDone) {
-		j.post.PostOne(j.pairClock)
-	}
+	j.xr.post.PostReady(j.xr.eos, j.clock)
+	j.xl.post.PostReady(j.xl.eos, j.clock)
+	j.post.PostReady(j.pairsDone, j.pairClock)
 	// Ingest the probe side unless its extraction poster is backlogged
 	// or extraction has run far enough ahead of pair generation. The
 	// demand window keeps extraction busy without racing to the end of
@@ -733,25 +811,14 @@ func (j *crowdJoinOp) stepExtracting(ctx context.Context, batch int) error {
 		}
 	}
 	// Collect the globally oldest in-flight chunk across the three
-	// posters (shared sequence numbers fix the order).
-	oldest := -1
-	var collect func(context.Context) error
-	consider := func(seq int, fn func(context.Context) error) {
-		if seq >= 0 && (oldest < 0 || seq < oldest) {
-			oldest, collect = seq, fn
-		}
-	}
-	consider(j.xr.post.OldestSeq(), func(ctx context.Context) error {
-		_, err := j.xr.post.CollectOne(ctx, j.xr.resolveCollected)
-		return err
-	})
-	consider(j.xl.post.OldestSeq(), func(ctx context.Context) error {
-		_, err := j.xl.post.CollectOne(ctx, j.xl.resolveCollected)
-		return err
-	})
-	consider(j.post.OldestSeq(), j.collectChunk)
-	if collect != nil {
-		return collect(ctx)
+	// posters.
+	switch oldestInFlight(j.xr.post, j.xl.post, j.post) {
+	case 0:
+		return j.xr.collect(ctx)
+	case 1:
+		return j.xl.collect(ctx)
+	case 2:
+		return j.collectChunk(ctx)
 	}
 	// Stateful extraction combiners resolve once their stream is fully
 	// collected; pair generation then resumes above.
@@ -834,8 +901,13 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 	}
 	if j.leftEOS && j.xl.done() && j.genLeft >= len(j.leftRows) && !j.pairsDone {
 		j.pairsDone = true
-		if err := j.layoutTailGrids(); err != nil {
-			return false, err
+		if j.useSmart && len(j.tailPairs) > 0 {
+			r, s := j.replanGrid()
+			err := j.layoutGrids(join.SliceSeq(j.tailPairs), r, s, j.pairClock)
+			j.tailPairs = nil
+			if err != nil {
+				return false, err
+			}
 		}
 		if err := j.flushHIT(batch, true); err != nil {
 			return false, err
@@ -906,55 +978,6 @@ func (j *crowdJoinOp) maybeReplan() error {
 	dig = fnvFold(dig, uint64(r))
 	dig = fnvFold(dig, uint64(s))
 	return j.x.checkpoint(ckptReplan, j.path, dig, j.pairClock)
-}
-
-// layoutTailGrids lays the pairs buffered since a mid-run Naive→Smart
-// switch out as SmartBatch grids (the layout needs the full tail) and
-// queues them on the pair poster — mirroring layoutGrids' store-serve
-// and per-cell pending accounting. collectChunk's per-cell grid
-// expansion then resolves them like any up-front grid.
-func (j *crowdJoinOp) layoutTailGrids() error {
-	if !j.useSmart || len(j.tailPairs) == 0 {
-		return nil
-	}
-	r, s := j.replanGrid()
-	hits, err := join.SmartGridHITs(j.builder, join.SliceSeq(j.tailPairs), func(p join.Pair) { j.noteSlot(p) },
-		j.node.Task.Name, r, s)
-	if err != nil {
-		return err
-	}
-	j.tailPairs = nil
-	var post []*hit.HIT
-	for _, h := range hits {
-		if len(h.Questions) == 1 {
-			as, ok, err := j.x.answersLookup(&h.Questions[0], j.pairClock)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := j.applyGridAnswers(&h.Questions[0], as, j.pairClock); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		post = append(post, h)
-	}
-	for _, h := range post {
-		for qi := range h.Questions {
-			q := &h.Questions[qi]
-			for _, lt := range q.LeftItems {
-				for _, rt := range q.RightItems {
-					key := join.Pair{Left: lt, Right: rt}.Key()
-					if idx, ok := j.slotOf[key]; ok {
-						j.slots[idx].pending++
-					}
-				}
-			}
-		}
-	}
-	j.post.Enqueue(post...)
-	return nil
 }
 
 func (j *crowdJoinOp) flushHIT(batch int, force bool) error {

@@ -273,9 +273,7 @@ func (f *crowdFilterOp) step(ctx context.Context) error {
 	uniq := f.uniq
 	backlogged := false
 	for _, br := range uniq {
-		for br.post.CanPost() && br.post.HasChunk(f.eos) {
-			br.post.PostOne(f.clock)
-		}
+		br.post.PostReady(f.eos, f.clock)
 		if br.post.Backlogged() {
 			backlogged = true
 		}

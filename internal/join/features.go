@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 
 	"qurk/internal/combine"
@@ -182,72 +181,39 @@ func Extract(rel *relation.Relation, features []Feature, opts ExtractOptions, ma
 		return nil, err
 	}
 
-	ext := &Extraction{
-		Relation: rel,
-		Values:   make(map[uint64]map[string]string, rel.Len()),
-		Matrices: make(map[string]*stats.RatingMatrix, len(features)),
+	tally, err := NewKappaTally(features, rel.Len())
+	if err != nil {
+		return nil, err
 	}
-	ext.HITCount = len(hits)
-	ext.AssignmentCount = run.TotalAssignments
-
-	// Route votes: field name → feature.
-	fieldFeature := make(map[string]Feature, len(features))
-	optionIdx := make(map[string]map[string]int, len(features))
+	ext := &Extraction{
+		Relation:        rel,
+		Values:          make(map[uint64]map[string]string, rel.Len()),
+		Matrices:        tally.Matrices,
+		HITCount:        len(hits),
+		AssignmentCount: run.TotalAssignments,
+	}
 	subjectIdx := make(map[uint64]int, rel.Len())
 	for i := 0; i < rel.Len(); i++ {
 		subjectIdx[rel.Row(i).Key()] = i
 	}
-	for _, f := range features {
-		fieldFeature[f.Field] = f
-		fld, _ := f.Task.Field(f.Field)
-		cats := make(map[string]int, len(fld.Response.Options))
-		for i, o := range fld.Response.Options {
-			cats[strings.ToUpper(o)] = i
-			cats[o] = i
-		}
-		optionIdx[f.Field] = cats
-		m, err := stats.NewRatingMatrix(rel.Len(), len(fld.Response.Options))
-		if err != nil {
-			return nil, err
-		}
-		ext.Matrices[f.Field] = m
-	}
 
-	qByHIT := make(map[string]*hit.HIT, len(hits))
-	for _, h := range hits {
-		qByHIT[h.ID] = h
-	}
-	for _, a := range run.Assignments {
-		h := qByHIT[a.HITID]
-		if h == nil {
-			continue
+	hit.ForEachAnswer(hits, run.Assignments, func(q *hit.Question, worker string, ans hit.Answer) {
+		subj, ok := subjectIdx[q.Tuple.Key()]
+		if !ok {
+			return
 		}
-		for i, ans := range a.Answers {
-			if i >= len(h.Questions) {
-				break
-			}
-			q := &h.Questions[i]
-			subj, ok := subjectIdx[q.Tuple.Key()]
-			if !ok {
+		for field, raw := range ans.Fields {
+			if _, ok := tally.Matrices[field]; !ok {
 				continue
 			}
-			for field, raw := range ans.Fields {
-				f, ok := fieldFeature[field]
-				if !ok {
-					continue
-				}
-				ext.Votes = append(ext.Votes, combine.Vote{
-					Question: voteKey(field, q.Tuple.Key()),
-					Worker:   a.WorkerID,
-					Value:    raw,
-				})
-				if cat, ok := optionIdx[field][raw]; ok {
-					if err := ext.Matrices[f.Field].Add(subj, cat); err != nil {
-						return nil, err
-					}
-				}
+			ext.Votes = append(ext.Votes, combine.Vote{Question: voteKey(field, q.Tuple.Key()), Worker: worker, Value: raw})
+			if aerr := tally.Add(subj, field, raw); aerr != nil && err == nil {
+				err = aerr
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Combine votes into per-tuple values.
@@ -268,6 +234,49 @@ func Extract(rel *relation.Relation, features []Feature, opts ExtractOptions, ma
 		ext.Values[key] = vals
 	}
 	return ext, nil
+}
+
+// KappaTally accumulates categorical extraction votes into per-feature
+// subject × option rating matrices — the input of Extraction.Kappa.
+type KappaTally struct {
+	// Matrices maps feature field → its rating matrix.
+	Matrices map[string]*stats.RatingMatrix
+	// cats maps field → option (as written and upper-cased) → category.
+	cats map[string]map[string]int
+}
+
+// NewKappaTally allocates one rating matrix per feature over subjects
+// tuples.
+func NewKappaTally(features []Feature, subjects int) (*KappaTally, error) {
+	k := &KappaTally{
+		Matrices: make(map[string]*stats.RatingMatrix, len(features)),
+		cats:     make(map[string]map[string]int, len(features)),
+	}
+	for _, f := range features {
+		fld, _ := f.Task.Field(f.Field)
+		cats := make(map[string]int, len(fld.Response.Options))
+		for i, o := range fld.Response.Options {
+			cats[strings.ToUpper(o)] = i
+			cats[o] = i
+		}
+		k.cats[f.Field] = cats
+		m, err := stats.NewRatingMatrix(subjects, len(fld.Response.Options))
+		if err != nil {
+			return nil, err
+		}
+		k.Matrices[f.Field] = m
+	}
+	return k, nil
+}
+
+// Add records one worker's raw answer for a subject's feature; answers
+// outside the feature's options (UNKNOWN, free text) are not ratings.
+func (k *KappaTally) Add(subject int, field, raw string) error {
+	cat, ok := k.cats[field][raw]
+	if !ok {
+		return nil
+	}
+	return k.Matrices[field].Add(subject, cat)
 }
 
 func voteKey(field string, tupleKey uint64) string {
@@ -472,113 +481,4 @@ func SamplePairs(left, right *relation.Relation, frac float64, rng *rand.Rand) [
 		return true
 	})
 	return reservoir
-}
-
-// FilteredResult reports a filtered join run with its extraction costs.
-type FilteredResult struct {
-	*Result
-	// ExtractionHITs counts the linear-pass HITs (both tables).
-	ExtractionHITs int
-	// SavedComparisons is |R||S| − candidates.
-	SavedComparisons int
-	// FeaturesUsed names the filters applied.
-	FeaturesUsed []string
-	// LeftExtraction and RightExtraction expose the feature passes.
-	LeftExtraction, RightExtraction *Extraction
-}
-
-// TotalHITs is extraction plus join HITs — the paper's cost metric for
-// Table 2 and Table 5.
-func (r *FilteredResult) TotalHITs() int { return r.ExtractionHITs + r.Result.HITCount }
-
-// ExtractBoth runs the feature-extraction linear passes for the two
-// sides of a join concurrently — they are independent HIT groups, so
-// overlapping them halves the extraction phase's wall clock (§2.5's
-// pipelined execution). If both sides were handed the same combiner
-// instance, the right side gets a clone (combine.Cloner); a shared
-// stateful combiner that cannot be cloned forces the passes to run
-// sequentially rather than race on its state.
-func ExtractBoth(left, right *relation.Relation, leftFeatures, rightFeatures []Feature,
-	lo, ro ExtractOptions, market crowd.Marketplace) (*Extraction, *Extraction, error) {
-	if sameCombinerInstance(lo.Combiner, ro.Combiner) {
-		if c, ok := lo.Combiner.(combine.Cloner); ok {
-			ro.Combiner = c.CloneCombiner()
-		} else {
-			le, lerr := Extract(left, leftFeatures, lo, market)
-			if lerr != nil {
-				return nil, nil, lerr
-			}
-			re, rerr := Extract(right, rightFeatures, ro, market)
-			// Keep the completed left side alongside the error so its
-			// spend is still accountable, matching the concurrent path.
-			return le, re, rerr
-		}
-	}
-	type out struct {
-		ext *Extraction
-		err error
-	}
-	lch := make(chan out, 1)
-	go func() {
-		ext, err := Extract(left, leftFeatures, lo, market)
-		lch <- out{ext, err}
-	}()
-	re, rerr := Extract(right, rightFeatures, ro, market)
-	l := <-lch
-	// On error, the side that completed is still returned alongside
-	// the error so callers can account the HITs it already spent.
-	err := l.err
-	if err == nil {
-		err = rerr
-	}
-	return l.ext, re, err
-}
-
-// sameCombinerInstance reports whether a and b are one shared mutable
-// combiner. Only pointer-shaped combiners can share state; value
-// combiners (MajorityVote) are stateless copies by construction.
-func sameCombinerInstance(a, b combine.Combiner) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	va := reflect.ValueOf(a)
-	if va.Kind() != reflect.Pointer {
-		return false
-	}
-	vb := reflect.ValueOf(b)
-	return vb.Kind() == reflect.Pointer && va.Pointer() == vb.Pointer()
-}
-
-// RunFiltered extracts features on both tables (concurrently), prunes
-// the cross product, and runs the join on the streamed survivors
-// (paper §3.2's full pipeline). A single stateful extOpts.Combiner is
-// safe: ExtractBoth clones it per side (or serializes the passes when
-// it cannot be cloned).
-func RunFiltered(left, right *relation.Relation, jt *task.EquiJoin,
-	features []Feature, extOpts ExtractOptions, joinOpts Options,
-	market crowd.Marketplace) (*FilteredResult, error) {
-	lo := extOpts
-	lo.GroupID = joinOpts.GroupID + "/extract-left"
-	ro := extOpts
-	ro.GroupID = joinOpts.GroupID + "/extract-right"
-	le, re, err := ExtractBoth(left, right, features, features, lo, ro, market)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(features))
-	for i, f := range features {
-		names[i] = f.Field
-	}
-	res, err := RunSeq(FilteredSeq(left, right, le, re, names), jt, joinOpts, market)
-	if err != nil {
-		return nil, err
-	}
-	return &FilteredResult{
-		Result:           res,
-		ExtractionHITs:   le.HITCount + re.HITCount,
-		SavedComparisons: left.Len()*right.Len() - res.Candidates,
-		FeaturesUsed:     names,
-		LeftExtraction:   le,
-		RightExtraction:  re,
-	}, nil
 }

@@ -232,8 +232,8 @@ func CrossPairs(left, right *relation.Relation) []Pair {
 }
 
 // Run executes the crowd join over an explicit candidate pair list.
-// Most callers use RunCross (full cross product), RunSeq (streamed
-// candidates), or feature filtering's RunFiltered.
+// Most callers use RunCross (full cross product) or RunSeq (streamed
+// candidates, e.g. FilteredSeq's feature-pruned pairs).
 func Run(candidates []Pair, jt *task.EquiJoin, opts Options, market crowd.Marketplace) (*Result, error) {
 	return RunSeq(SliceSeq(candidates), jt, opts, market)
 }

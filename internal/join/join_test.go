@@ -403,45 +403,6 @@ func TestChooseFeaturesDropsAmbiguousHair(t *testing.T) {
 	}
 }
 
-func TestRunFilteredEndToEnd(t *testing.T) {
-	l, r := makeTables(12)
-	o := &testOracle{hairConfusion: 0.02}
-	res, err := RunFiltered(l, r, equiJoinTask(),
-		[]Feature{genderFeature()},
-		ExtractOptions{Combined: true, BatchSize: 4, Assignments: 5},
-		Options{Algorithm: Naive, BatchSize: 5, Assignments: 10, GroupID: "fj"},
-		market(37, o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExtractionHITs != 6 { // 2 tables × ceil(12/4)
-		t.Errorf("extraction HITs = %d, want 6", res.ExtractionHITs)
-	}
-	if res.SavedComparisons < 50 {
-		t.Errorf("saved comparisons = %d, want ≥50 of 144", res.SavedComparisons)
-	}
-	if res.TotalHITs() != res.ExtractionHITs+res.Result.HITCount {
-		t.Error("TotalHITs arithmetic wrong")
-	}
-	tp := 0
-	for _, m := range res.Matches {
-		if match, _ := o.JoinMatch(m.Pair.Left, m.Pair.Right); match {
-			tp++
-		}
-	}
-	if tp < 11 {
-		t.Errorf("filtered join TP = %d/12", tp)
-	}
-	// Filtering must beat the unfiltered cost.
-	unfiltered, err := RunCross(l, r, equiJoinTask(), Options{Algorithm: Naive, BatchSize: 5, Assignments: 10}, market(41, o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalHITs() >= unfiltered.HITCount {
-		t.Errorf("filtered %d HITs ≥ unfiltered %d", res.TotalHITs(), unfiltered.HITCount)
-	}
-}
-
 func TestSmartHITsSparseCandidates(t *testing.T) {
 	// With candidates restricted to matching ids, the grid layout
 	// should skip empty blocks.

@@ -156,6 +156,15 @@ func (p *Poster) PostOne(clock float64) {
 	}
 }
 
+// PostReady posts chunks at clock while the lookahead window has room
+// and a chunk is ready (force: any queued HITs count as one at end of
+// stream).
+func (p *Poster) PostReady(force bool, clock float64) {
+	for p.CanPost() && p.HasChunk(force) {
+		p.PostOne(clock)
+	}
+}
+
 // OldestSeq returns the post sequence of the oldest in-flight chunk,
 // or -1 when nothing is in flight.
 func (p *Poster) OldestSeq() int {
@@ -442,21 +451,19 @@ func (p *Poster) CollectOne(ctx context.Context, resolve Resolve) (float64, erro
 
 // Drain drives a fully enqueued poster to completion: post chunks
 // (bounded by the lookahead), collect them FIFO, re-post retries, and
-// resolve every question via CollectOne. Used by blocking phases
-// (crowd sorts, build-side feature extraction, adaptive probe rounds)
-// so that posting overlaps collection within the phase and the retry
-// policies apply. clock is the virtual-clock time the phase's inputs
-// became ready; the returned time is the last chunk's completion (or
-// clock when nothing was posted).
+// resolve every question via CollectOne. Used by phases that mint all
+// their questions up front (crowd sorts, the feature-selection sample
+// join, adaptive probe rounds) so that posting overlaps collection
+// within the phase and the retry policies apply. clock is the
+// virtual-clock time the phase's inputs became ready; the returned time
+// is the last chunk's completion (or clock when nothing was posted).
 func (p *Poster) Drain(ctx context.Context, clock float64, resolve Resolve) (float64, error) {
 	last := clock
 	for !p.Idle() {
 		if err := ctx.Err(); err != nil {
 			return last, err
 		}
-		for p.CanPost() && p.HasChunk(true) {
-			p.PostOne(clock)
-		}
+		p.PostReady(true, clock)
 		done, err := p.CollectOne(ctx, resolve)
 		if err != nil {
 			return last, err
