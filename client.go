@@ -295,8 +295,8 @@ func (c *Client) fingerprint(src string) uint64 {
 
 // runJournaled runs src on a shallow engine copy whose marketplace is
 // wrapped with the journal, then seals and closes the journal. The
-// copy shares the client's ledger and cache, so accounting lands where
-// it always does.
+// copy shares the client's ledger and answer store, so accounting
+// lands where it always does.
 func (c *Client) runJournaled(ctx context.Context, src string, j *wal.Journal, sink StreamSink) (*Relation, *ExecStats, error) {
 	defer j.Close()
 	e := *c.eng

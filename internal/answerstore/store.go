@@ -1,15 +1,15 @@
-// Package answerstore generalizes the per-run task cache
-// (internal/hit.Cache) into a persistent, concurrency-safe, cross-query
-// answer store: crowd votes for a question keyed by normalized content
-// (task, kind, tuple content via Question.CacheKey) outlive the query
-// that paid for them, so an identical question asked later — by the same
-// tenant or a different one — is served from the store instead of being
-// re-posted to the marketplace.
+// Package answerstore implements the paper's task cache (Fig. 1, §2.6)
+// as a persistent, concurrency-safe, cross-query answer store: crowd
+// votes for a question keyed by normalized content (task, kind, tuple
+// content via Question.CacheKey) outlive the query that paid for them,
+// so an identical question asked later — by the same run, the same
+// tenant, or a different one — is served from the store instead of
+// being re-posted to the marketplace. Every crowd operator reads and
+// feeds it through its poster (internal/poster); across runs crowd
+// labor is the scarce resource, and dedup across traffic is what makes
+// the unit economics of a shared query service work.
 //
-// This is the service-layer half of the paper's §2.6 task cache: within
-// one run the executor already dedups identical questions; across runs
-// crowd labor is the scarce resource, and dedup across traffic is what
-// makes the unit economics of a shared query service work.
+// Open with an empty path for a memory-only store.
 //
 // Persistence is an internal/framelog file with one JSON record per
 // Store call, fsynced before Store returns; a crash mid-append loses at

@@ -159,7 +159,7 @@ func majorityDecisionMap(vs []Vote) Decision {
 // BoolVote maps a boolean answer onto the categorical yes/no vote
 // vocabulary the combiners above consume. Shared by the operators so
 // the mapping cannot drift between execution paths that feed the same
-// task cache.
+// answer store.
 func BoolVote(b bool) string {
 	if b {
 		return "yes"

@@ -6,7 +6,6 @@ import (
 
 	"qurk/internal/crowd"
 	"qurk/internal/dataset"
-	"qurk/internal/hit"
 	"qurk/internal/query"
 	"qurk/internal/task"
 )
@@ -58,32 +57,6 @@ func TestRunFilterNegate(t *testing.T) {
 	total := pos.Passed.Len() + neg.Passed.Len()
 	if total < 18 || total > 22 {
 		t.Errorf("pos %d + neg %d = %d, want ≈20", pos.Passed.Len(), neg.Passed.Len(), total)
-	}
-}
-
-func TestRunFilterCache(t *testing.T) {
-	d, m := celebMarket(t, 10, 5)
-	cache := hit.NewCache()
-	r1, err := RunFilter(d.Celeb, dataset.IsFemaleTask(), FilterOptions{GroupID: "c1", Cache: cache}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CacheHits != 0 || r1.HITCount == 0 {
-		t.Errorf("first run: cacheHits=%d hits=%d", r1.CacheHits, r1.HITCount)
-	}
-	r2, err := RunFilter(d.Celeb, dataset.IsFemaleTask(), FilterOptions{GroupID: "c2", Cache: cache}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second run answers everything from cache: no HITs posted.
-	if r2.CacheHits != 10 || r2.HITCount != 0 {
-		t.Errorf("second run: cacheHits=%d hits=%d, want 10, 0", r2.CacheHits, r2.HITCount)
-	}
-	// And decisions identical.
-	for i := range r1.Decisions {
-		if r1.Decisions[i] != r2.Decisions[i] {
-			t.Fatalf("cached decision %d differs", i)
-		}
 	}
 }
 

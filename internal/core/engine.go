@@ -373,9 +373,9 @@ type JournalSink interface {
 }
 
 // AnswerStore is a content-addressed vote store consulted before a
-// crowd question is posted and fed after its votes fold. The per-run
-// hit.Cache satisfies it; internal/answerstore implements the
-// persistent, cross-query variant the multi-tenant service shares
+// crowd question is posted and fed after its votes fold — the paper's
+// task cache (Fig. 1, §2.6). internal/answerstore implements it, in
+// memory or backed by a file, and the multi-tenant service shares one
 // between queries and tenants. Implementations must be safe for
 // concurrent use: one store serves many queries at once.
 type AnswerStore interface {
@@ -411,17 +411,16 @@ type Engine struct {
 	Library *Library
 	Market  crowd.Marketplace
 	Ledger  *cost.Ledger
-	Cache   *hit.Cache
 	Options Options
 	// Journal, when non-nil, receives breaker checkpoints during
 	// execution (durable runs; see internal/wal and qurk.WithJournal).
 	Journal JournalSink
-	// Answers, when non-nil, is the shared cross-query answer store: a
-	// question whose content already has servable votes is answered from
-	// the store and never posted, and every freshly collected question
-	// feeds it. Unlike Cache (per-engine, read only by the crowd filter
-	// operator), Answers is consulted by every crowd operator and is
-	// typically shared by many engines in a qurkd process.
+	// Answers, when non-nil, is the answer store (the paper's task
+	// cache): every crowd operator's poster answers a question whose
+	// content already has servable votes from the store instead of
+	// posting it, and feeds it every freshly collected question. It is
+	// typically shared by many engines in a qurkd process. A nil store
+	// reuses nothing: every question posts, even within one run.
 	Answers AnswerStore
 	// ObStats, when non-nil, is the shared observed-statistics store:
 	// the optimizer seeds selectivity / pass-fraction / group-size
@@ -434,7 +433,7 @@ type Engine struct {
 	ObStats ObservedStats
 }
 
-// NewEngine builds an engine with fresh catalog/library/ledger/cache.
+// NewEngine builds an engine with a fresh catalog, library and ledger.
 func NewEngine(market crowd.Marketplace, opts Options) *Engine {
 	opts.fillDefaults()
 	return &Engine{
@@ -442,7 +441,6 @@ func NewEngine(market crowd.Marketplace, opts Options) *Engine {
 		Library: NewLibrary(),
 		Market:  market,
 		Ledger:  cost.NewLedger(),
-		Cache:   hit.NewCache(),
 		Options: opts,
 	}
 }

@@ -1,6 +1,6 @@
 // Package core ties Qurk's pieces into an engine: it owns the crowd
 // filter and generative operators (paper §2.1–§2.2), the task library,
-// the marketplace handle, the result cache, and the cost ledger. The
+// the marketplace handle, and the cost ledger. The
 // join and sort operators live in internal/join and internal/sortop;
 // core provides the shared execution services and the simple operators.
 package core
@@ -27,8 +27,6 @@ type FilterOptions struct {
 	GroupID string
 	// Negate keeps tuples the crowd said NO to (for NOT udf(...)).
 	Negate bool
-	// Cache, when set, memoizes per-tuple votes.
-	Cache *hit.Cache
 }
 
 func (o *FilterOptions) fillDefaults() {
@@ -59,8 +57,6 @@ type FilterResult struct {
 	MakespanHours             float64
 	// Votes are raw votes for re-combination.
 	Votes []combine.Vote
-	// CacheHits counts tuples answered from the cache without posting.
-	CacheHits int
 }
 
 // RunFilter executes a crowd filter over every row of rel.
@@ -80,59 +76,32 @@ func RunFilter(rel *relation.Relation, ft *task.Filter, opts FilterOptions, mark
 	}
 
 	qid := func(i int) string { return fmt.Sprintf("%s/t%05d", opts.GroupID, i) }
-	var questions []hit.Question
-	askIdx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		q := hit.Question{
+	questions := make([]hit.Question, n)
+	for i := range questions {
+		questions[i] = hit.Question{
 			ID:    qid(i),
 			Kind:  hit.FilterQ,
 			Task:  ft.Name,
 			Tuple: rel.Row(i),
 		}
-		if opts.Cache != nil {
-			if cached, ok := opts.Cache.Lookup(&q); ok {
-				for _, ca := range cached {
-					res.Votes = append(res.Votes, combine.Vote{
-						Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool),
-					})
-				}
-				res.CacheHits++
-				continue
-			}
-		}
-		questions = append(questions, q)
-		askIdx = append(askIdx, i)
 	}
-
-	if len(questions) > 0 {
-		b := hit.NewBuilder(opts.GroupID, opts.Assignments, 1)
-		hits, err := b.Merge(questions, opts.BatchSize)
-		if err != nil {
-			return nil, err
-		}
-		run, err := market.Run(&hit.Group{ID: opts.GroupID, HITs: hits})
-		if err != nil {
-			return nil, err
-		}
-		res.HITCount = len(hits)
-		res.AssignmentCount = run.TotalAssignments
-		res.MakespanHours = run.MakespanHours
-
-		perQuestion := map[string][]hit.CachedAnswer{}
-		hit.ForEachAnswer(hits, run.Assignments, func(q *hit.Question, worker string, ans hit.Answer) {
-			res.Votes = append(res.Votes, combine.Vote{
-				Question: q.ID, Worker: worker, Value: combine.BoolVote(ans.Bool),
-			})
-			perQuestion[q.ID] = append(perQuestion[q.ID], hit.CachedAnswer{WorkerID: worker, Answer: ans})
+	b := hit.NewBuilder(opts.GroupID, opts.Assignments, 1)
+	hits, err := b.Merge(questions, opts.BatchSize)
+	if err != nil {
+		return nil, err
+	}
+	run, err := market.Run(&hit.Group{ID: opts.GroupID, HITs: hits})
+	if err != nil {
+		return nil, err
+	}
+	res.HITCount = len(hits)
+	res.AssignmentCount = run.TotalAssignments
+	res.MakespanHours = run.MakespanHours
+	hit.ForEachAnswer(hits, run.Assignments, func(q *hit.Question, worker string, ans hit.Answer) {
+		res.Votes = append(res.Votes, combine.Vote{
+			Question: q.ID, Worker: worker, Value: combine.BoolVote(ans.Bool),
 		})
-		if opts.Cache != nil {
-			for qi := range questions {
-				q := &questions[qi]
-				opts.Cache.Store(q, perQuestion[q.ID])
-			}
-		}
-		_ = askIdx
-	}
+	})
 
 	decisions, err := opts.Combiner.Combine(res.Votes)
 	if err != nil {

@@ -6,11 +6,18 @@
 // appended; on a resumed run it is verified against the recorded one,
 // so a resume whose replayed inputs diverged from the original run
 // fails loudly instead of silently mixing two runs' state.
+//
+// Every question a poster serves from the engine's answer store is
+// journaled as a replayed result (ckptAnswerReplay), so a resume
+// verifies the same questions were served from the store; resuming
+// against a store whose relevant entries changed fails loudly instead
+// of silently mixing vote sets.
 package exec
 
 import (
 	"hash/fnv"
 
+	"qurk/internal/hit"
 	"qurk/internal/relation"
 )
 
@@ -24,7 +31,18 @@ const (
 	// decision from the same replayed counts and verify the digest, so a
 	// durable resume can never diverge from the original run's plan.
 	ckptReplan = "re-plan"
+	// ckptAnswerReplay records one question served from the answer
+	// store, keyed by its content.
+	ckptAnswerReplay = "answer-replay"
 )
+
+// served is every poster's answer-store hook: it counts one question
+// answered from the store as reuse and, in durable runs, journals the
+// replay.
+func (x *executor) served(q *hit.Question, key uint64, clock float64) error {
+	x.stats.addReused(1)
+	return x.checkpoint(ckptAnswerReplay, q.ID, key, clock)
+}
 
 // checkpoint forwards one breaker checkpoint to the engine's journal;
 // a nil journal (non-durable run) makes it free.

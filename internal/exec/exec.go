@@ -192,13 +192,15 @@ type Sink func(tuples []relation.Tuple, ready float64) error
 // result variance — run each trial against a market with a different
 // seed.
 //
-// One caveat for hand-built plans: the engine's task cache is keyed by
-// question content, so if two concurrently executing operators pose the
-// *identical* question (same task, same tuples), which one hits the
-// other's cached answers depends on scheduling. Planner-built plans
+// One caveat for hand-built plans: the engine's answer store
+// (Engine.Answers) is keyed by question content and fed as chunks are
+// collected, so if two concurrently executing operators pose the
+// *identical* question (same task, same tuples), which one is served
+// the other's stored answers depends on scheduling. Planner-built plans
 // never duplicate a question across concurrent operators (duplicate OR
-// disjuncts are deduplicated here); for strict determinism in API-built
-// plans that do, set Engine.Cache to nil.
+// disjuncts are deduplicated here, and a WHERE conjunct stays above the
+// join that binds it); for strict determinism in API-built plans that
+// do, run them on an engine without a store.
 func Run(ctx context.Context, e *core.Engine, node plan.Node, sink Sink) (*relation.Relation, *Stats, error) {
 	x := &executor{eng: e, stats: &Stats{}}
 	root, err := x.build(node, "q")
@@ -540,29 +542,21 @@ func sortPhysOf(n *plan.CrowdOrderBy, opts *core.Options) plan.SortPhys {
 }
 
 // newPoster builds a chunk poster over the engine's marketplace,
-// wiring the operator's accounting and the engine-wide retry budgets.
+// wiring the operator's accounting, the engine-wide retry budgets, and
+// the engine's answer store, whose served questions count as reuse and
+// are journaled as replays.
 func (x *executor) newPoster(groupID string, seq *int, acct *opAcct) *poster.Poster {
-	mr := x.eng.Options.RefusedRetries
-	if mr < 0 {
-		mr = 0
-	}
-	mx := x.eng.Options.ExpiredRetries
-	if mx < 0 {
-		mx = 0
-	}
-	var a poster.Acct
-	if acct != nil {
-		a = acct
-	}
 	return poster.New(poster.Config{
 		Market:         x.eng.Market,
 		GroupID:        groupID,
 		ChunkHITs:      x.eng.Options.StreamChunkHITs,
 		Lookahead:      x.eng.Options.StreamLookahead,
 		Seq:            seq,
-		Acct:           a,
-		RefusedRetries: mr,
-		ExpiredRetries: mx,
+		Acct:           acct,
+		RefusedRetries: x.eng.Options.RefusedRetries,
+		ExpiredRetries: x.eng.Options.ExpiredRetries,
+		Answers:        x.eng.Answers,
+		Served:         x.served,
 	})
 }
 
@@ -587,12 +581,11 @@ func (x *executor) buildFilter(child Operator, label, path string, specs []*filt
 			negate:  sp.negate,
 			groupID: sp.groupID,
 			dupOf:   sp.dupOf,
-			asked:   map[uint64]bool{},
 		}
 		if sp.dupOf != i {
 			// Duplicate disjuncts run once and share the result:
 			// concurrent identical branches would otherwise race on the
-			// task cache, making reruns timing-dependent.
+			// answer store, making reruns timing-dependent.
 			x.stats.add(OpStat{Label: fmt.Sprintf("%s = [%d] (duplicate disjunct)", sp.label, sp.dupOf)})
 			f.branch = append(f.branch, br)
 			continue
@@ -635,7 +628,6 @@ func (x *executor) buildGenerative(child Operator, label, groupID string, gt *ta
 		hitSize: hitSize,
 		builder: hit.NewBuilder(groupID, assignments, 1),
 		slotOf:  map[string]int{},
-		asked:   map[uint64]bool{},
 	}
 	g.emit.size = x.eng.Options.ExecBatch
 	g.eosVotes = map[string][]combine.Vote{}
@@ -677,41 +669,24 @@ func (x *executor) runQuestions(ctx context.Context, label, groupID string,
 	acct := &opAcct{x: x, label: label, asn: assignments, slot: x.stats.registerOp(label)}
 	p := x.newPoster(groupID, new(int), acct)
 	b := hit.NewBuilder(groupID, assignments, 1)
-	qbuf := questions
-	// Serve questions the shared answer store already holds (a prior
-	// query's identical compare group or rating batch) before anything
-	// posts; only the remainder reaches the marketplace.
-	if x.eng.Answers != nil {
-		kept := make([]hit.Question, 0, len(questions))
-		asked := map[uint64]bool{}
-		for i := range questions {
-			q := &questions[i]
-			served := false
-			if key := q.CacheKey(); !asked[key] {
-				asked[key] = true
-				as, ok, err := x.answersLookup(q, clock)
-				if err != nil {
-					return clock, acct, err
-				}
-				if ok {
-					add(q, as)
-					served = true
-				}
-			}
-			if !served {
-				kept = append(kept, questions[i])
-			}
+	resolve := func(q *hit.Question, as []hit.CachedAnswer, _ float64) error {
+		add(q, as)
+		return nil
+	}
+	qbuf := make([]hit.Question, 0, len(questions))
+	for i := range questions {
+		served, err := p.Serve(&questions[i], clock, resolve)
+		if err != nil {
+			return clock, acct, err
 		}
-		qbuf = kept
+		if !served {
+			qbuf = append(qbuf, questions[i])
+		}
 	}
 	if err := p.FlushQuestions(b, &qbuf, perHIT, true); err != nil {
 		return clock, acct, err
 	}
-	done, err := p.Drain(ctx, clock, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
-		x.answersStore(q, as)
-		add(q, as)
-		return nil
-	})
+	done, err := p.Drain(ctx, clock, resolve)
 	return done, acct, err
 }
 
@@ -815,13 +790,12 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		hacct := &opAcct{x: x, label: n.Label(), asn: sp.Assignments, slot: x.stats.registerOp(n.Label())}
 		p := x.newPoster(gid, new(int), hacct)
 		iterOf := map[string]int{}
-		asked := map[uint64]bool{}
-		apply := func(iter int, as []hit.CachedAnswer) error {
+		apply := func(q *hit.Question, as []hit.CachedAnswer, _ float64) error {
 			answers := make([]hit.Answer, 0, len(as))
 			for _, ca := range as {
 				answers = append(answers, ca.Answer)
 			}
-			return st.Apply(iter, answers)
+			return st.Apply(iterOf[q.ID], answers)
 		}
 		for !st.Done() {
 			if err := ctx.Err(); err != nil {
@@ -838,22 +812,12 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 					break
 				}
 				q := &h.Questions[0]
-				served := false
-				if key := q.CacheKey(); !asked[key] {
-					asked[key] = true
-					as, ok, err := x.answersLookup(q, done)
-					if err != nil {
-						return nil, 0, err
-					}
-					if ok {
-						if err := apply(iter, as); err != nil {
-							return nil, 0, err
-						}
-						served = true
-					}
+				iterOf[q.ID] = iter
+				served, err := p.Serve(q, done, apply)
+				if err != nil {
+					return nil, 0, err
 				}
 				if !served {
-					iterOf[q.ID] = iter
 					p.Enqueue(h)
 				}
 			}
@@ -861,10 +825,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 			if p.OldestSeq() < 0 {
 				continue
 			}
-			chunkDone, err := p.CollectOne(ctx, func(q *hit.Question, as []hit.CachedAnswer, _ float64) error {
-				x.answersStore(q, as)
-				return apply(iterOf[q.ID], as)
-			})
+			chunkDone, err := p.CollectOne(ctx, apply)
 			if err != nil {
 				return nil, 0, err
 			}

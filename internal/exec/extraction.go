@@ -53,9 +53,6 @@ type extStream struct {
 	resolved int // leading subjects fully resolved (the consumption frontier)
 	qbuf     []hit.Question
 	qSlot    map[string]int
-	// asked gates answer-store lookups by question content (one lookup
-	// per distinct content per run; see answers.go).
-	asked map[uint64]bool
 	// eosVotes buffers per-(subject, field) votes for stateful
 	// combiners, keyed like join.Extract's vote stream so one Combine
 	// call resolves every subject at end of stream.
@@ -92,7 +89,6 @@ func (x *executor) newExtStream(label, groupID string, features []join.Feature, 
 		perQ:     combine.IsPerQuestion(comb),
 		builder:  hit.NewBuilder(groupID, assignments, 1),
 		qSlot:    map[string]int{},
-		asked:    map[uint64]bool{},
 	}
 	for _, f := range features {
 		if err := f.Validate(); err != nil {
@@ -154,12 +150,12 @@ func (e *extStream) ingest(t relation.Tuple) error {
 			return err
 		}
 		e.qSlot[comp.ID] = i
-		served, err := e.serveFromStore(&comp)
-		if err != nil {
+		// Served values cost no crowd time: they resolve at clock zero,
+		// so the pair-generation frontier treats the subject as ready on
+		// arrival.
+		served, err := e.post.Serve(&comp, 0, e.resolveQ)
+		if err != nil || served {
 			return err
-		}
-		if served {
-			return nil
 		}
 		e.qbuf = append(e.qbuf, comp)
 		return e.post.FlushQuestions(e.builder, &e.qbuf, e.batch, false)
@@ -174,7 +170,7 @@ func (e *extStream) ingest(t relation.Tuple) error {
 			Fields: []string{f.Field},
 		}
 		e.qSlot[q.ID] = i
-		served, err := e.serveFromStore(&q)
+		served, err := e.post.Serve(&q, 0, e.resolveQ)
 		if err != nil {
 			return err
 		}
@@ -186,33 +182,9 @@ func (e *extStream) ingest(t relation.Tuple) error {
 	return e.post.FlushQuestions(e.builder, &e.qbuf, e.batch, false)
 }
 
-// serveFromStore resolves one freshly minted extraction question from
-// the shared answer store when its content (first seen this run) has a
-// servable entry; the question is then never posted.
-func (e *extStream) serveFromStore(q *hit.Question) (bool, error) {
-	if e.x.eng.Answers == nil || e.asked[q.CacheKey()] {
-		return false, nil
-	}
-	e.asked[q.CacheKey()] = true
-	as, ok, err := e.x.answersLookup(q, 0)
-	if err != nil || !ok {
-		return false, err
-	}
-	// Served values cost no crowd time: resolve at clock zero so the
-	// pair-generation frontier treats the subject as ready on arrival.
-	return true, e.resolveQ(q, as, 0)
-}
-
-// resolveCollected is the poster's collect callback: it feeds the
-// shared answer store, then resolves as resolveQ.
-func (e *extStream) resolveCollected(q *hit.Question, as []hit.CachedAnswer, done float64) error {
-	e.x.answersStore(q, as)
-	return e.resolveQ(q, as, done)
-}
-
 // collect awaits the stream's oldest in-flight chunk and resolves it.
 func (e *extStream) collect(ctx context.Context) error {
-	_, err := e.post.CollectOne(ctx, e.resolveCollected)
+	_, err := e.post.CollectOne(ctx, e.resolveQ)
 	return err
 }
 

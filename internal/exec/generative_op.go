@@ -51,18 +51,13 @@ type generativeOp struct {
 	qbuf    []hit.Question
 	slots   []*gslot
 	slotOf  map[string]int
-	// asked gates answer-store lookups by question content: each
-	// distinct content is looked up once per run, at first mint, so
-	// store-hit behavior never depends on chunk collection timing (see
-	// answers.go).
-	asked  map[uint64]bool
-	emit   emitQueue
-	emitAt int
-	clock  float64
-	eos    bool
-	closed bool
-	done   bool
-	final  bool
+	emit    emitQueue
+	emitAt  int
+	clock   float64
+	eos     bool
+	closed  bool
+	done    bool
+	final   bool
 	// eosVotes buffers per-field votes (in question order) for
 	// stateful combiners.
 	eosVotes map[string][]combine.Vote
@@ -194,18 +189,12 @@ func (g *generativeOp) step(ctx context.Context) error {
 				Fields: g.fields,
 			}
 			g.slotOf[q.ID] = slotIdx
-			if !g.asked[q.CacheKey()] {
-				g.asked[q.CacheKey()] = true
-				as, ok, err := g.x.answersLookup(&q, in.Ready)
-				if err != nil {
-					return err
-				}
-				if ok {
-					if err := g.resolveQ(&q, as, in.Ready); err != nil {
-						return err
-					}
-					continue
-				}
+			served, err := g.post.Serve(&q, in.Ready, g.resolveQ)
+			if err != nil {
+				return err
+			}
+			if served {
+				continue
 			}
 			g.qbuf = append(g.qbuf, q)
 			if err := g.flushHIT(false); err != nil {
@@ -236,16 +225,14 @@ func (g *generativeOp) flushHIT(force bool) error {
 // merging an expired HIT's partial answers (un-normalized, in lineage
 // order) when its retry resolves.
 func (g *generativeOp) collectChunk(ctx context.Context) error {
-	_, err := g.post.CollectOne(ctx, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
-		g.x.answersStore(q, as)
-		return g.resolveQ(q, as, done)
-	})
+	_, err := g.post.CollectOne(ctx, g.resolveQ)
 	return err
 }
 
 // resolveQ folds one resolved question's answers into its slot
 // (PerQuestion path) or the EOS vote buffers. Both the poster's collect
-// callback and an answer-store hit at mint time resolve through here.
+// callback and a question served from the answer store at mint time
+// resolve through here.
 func (g *generativeOp) resolveQ(q *hit.Question, as []hit.CachedAnswer, done float64) error {
 	s := g.slots[g.slotOf[q.ID]]
 	if !g.perQ {

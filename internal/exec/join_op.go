@@ -509,14 +509,11 @@ func (j *crowdJoinOp) layoutGrids(seq join.PairSeq, r, s int, clock float64) err
 	post := hits[:0]
 	for _, h := range hits {
 		q := &h.Questions[0]
-		as, ok, err := j.x.answersLookup(q, clock)
+		served, err := j.post.Serve(q, clock, j.applyStored)
 		if err != nil {
 			return err
 		}
-		if ok {
-			if err := j.applyStored(q, as, clock); err != nil {
-				return err
-			}
+		if served {
 			continue
 		}
 		for _, lt := range q.LeftItems {
@@ -534,15 +531,11 @@ func (j *crowdJoinOp) layoutGrids(seq join.PairSeq, r, s int, clock float64) err
 
 // forEachPairVotes expands one join question's worker answers into
 // per-pair yes/no votes: a pair question votes on its own pair (keyed
-// by its ID), a grid question on every cell, selected cells voting yes
-// — the per-question form of join.CollectVotes.
+// by its ID), a grid question on every cell, selected cells voting yes.
+// Each call gets a fresh votes slice.
 func forEachPairVotes(q *hit.Question, as []hit.CachedAnswer, visit func(key string, votes []combine.Vote)) {
 	if q.Kind != hit.JoinGridQ {
-		votes := make([]combine.Vote, 0, len(as))
-		for _, ca := range as {
-			votes = append(votes, combine.Vote{Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
-		}
-		visit(q.ID, votes)
+		visit(q.ID, boolVotes(q.ID, as))
 		return
 	}
 	for li, lt := range q.LeftItems {
@@ -595,23 +588,22 @@ func (j *crowdJoinOp) applyStored(q *hit.Question, as []hit.CachedAnswer, clock 
 // noteSlot registers a candidate pair, deduplicating by content key
 // (first appearance wins, fixing emission order). It returns the pair's
 // key so callers minting a question reuse the string instead of
-// re-deriving it; the last result reports whether this was the pair's
-// first appearance.
-func (j *crowdJoinOp) noteSlot(p join.Pair) (*jslot, string, bool) {
+// re-deriving it.
+func (j *crowdJoinOp) noteSlot(p join.Pair) (*jslot, string) {
 	key := p.Key()
 	if idx, ok := j.slotOf[key]; ok {
-		return j.slots[idx], key, false
+		return j.slots[idx], key
 	}
 	s := &jslot{pair: p}
 	j.slotOf[key] = len(j.slots)
 	j.slots = append(j.slots, s)
-	return s, key, true
+	return s, key
 }
 
 // mintPair queues one candidate pair's question — unless the pair was
-// already resolved from the answer store (first appearance consults
-// the store; a servable entry decides the slot without posting).
-func (j *crowdJoinOp) mintPair(p join.Pair, key string, s *jslot, isNew bool, batch int, clock float64) error {
+// already resolved from the answer store, or the poster serves it now
+// (which decides the slot without posting).
+func (j *crowdJoinOp) mintPair(p join.Pair, key string, s *jslot, batch int, clock float64) error {
 	if s.served {
 		return nil
 	}
@@ -621,14 +613,9 @@ func (j *crowdJoinOp) mintPair(p join.Pair, key string, s *jslot, isNew bool, ba
 		Task: j.node.Task.Name,
 		Left: p.Left, Right: p.Right,
 	}
-	if isNew {
-		as, ok, err := j.x.answersLookup(&q, clock)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return j.applyStored(&q, as, clock)
-		}
+	served, err := j.post.Serve(&q, clock, j.applyStored)
+	if err != nil || served {
+		return err
 	}
 	s.pending++
 	j.qbuf = append(j.qbuf, q)
@@ -709,8 +696,8 @@ func (j *crowdJoinOp) step(ctx context.Context) error {
 				j.pairsDone = true
 				return j.flushHIT(batch, true)
 			}
-			s, key, isNew := j.noteSlot(p)
-			if err := j.mintPair(p, key, s, isNew, batch, j.clock); err != nil {
+			s, key := j.noteSlot(p)
+			if err := j.mintPair(p, key, s, batch, j.clock); err != nil {
 				return err
 			}
 		}
@@ -884,8 +871,8 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 				j.tailPairs = append(j.tailPairs, p)
 				continue
 			}
-			s, key, isNew := j.noteSlot(p)
-			if err := j.mintPair(p, key, s, isNew, batch, j.pairClock); err != nil {
+			s, key := j.noteSlot(p)
+			if err := j.mintPair(p, key, s, batch, j.pairClock); err != nil {
 				return false, err
 			}
 		}
@@ -984,110 +971,45 @@ func (j *crowdJoinOp) flushHIT(batch int, force bool) error {
 	return j.post.FlushQuestions(j.builder, &j.qbuf, batch, force)
 }
 
+// collectChunk collects the pair poster's oldest chunk: each resolved
+// question occurrence folds its votes into its pair's slot (a grid
+// question into every cell's slot) and counts one pending occurrence
+// off; a PerQuestion combiner decides a slot once none are pending,
+// a stateful one buffers every vote for finalize.
 func (j *crowdJoinOp) collectChunk(ctx context.Context) error {
-	c, res, err := j.post.Collect(ctx)
-	if err != nil {
-		return err
-	}
-	done := c.PostedAt + res.MakespanHours
-	retrying, exhausted, err := j.post.RetryRefused(c, res.Incomplete, done)
-	if err != nil {
-		return err
-	}
-	xretrying, xincomplete, err := j.post.RetryExpired(c, res, done)
-	if err != nil {
-		return err
-	}
-	retrying = poster.MergeRetrying(retrying, xretrying)
-	exhausted = append(exhausted, xincomplete...)
-	// Feed resolved questions to the shared answer store (skipping those
-	// still pending a refusal/expiry retry — their final vote set
-	// arrives with a later chunk). Duplicate questions with one ID
-	// aggregate their votes, matching what the slots accumulate.
-	if j.x.eng.Answers != nil {
-		byQ := map[string][]hit.CachedAnswer{}
-		hit.ForEachAnswer(c.HITs, res.Assignments, func(q *hit.Question, worker string, ans hit.Answer) {
-			byQ[q.ID] = append(byQ[q.ID], hit.CachedAnswer{WorkerID: worker, Answer: ans})
+	_, err := j.post.CollectOne(ctx, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
+		var err error
+		forEachPairVotes(q, as, func(key string, votes []combine.Vote) {
+			if !j.perQ {
+				j.eosVotes = append(j.eosVotes, votes...)
+			}
+			idx, ok := j.slotOf[key]
+			if !ok || err != nil {
+				return
+			}
+			s := j.slots[idx]
+			s.pending--
+			if done > s.ready {
+				s.ready = done
+			}
+			if !j.perQ {
+				return
+			}
+			// EOS-mode combiners read only eosVotes; buffering per slot
+			// too would double vote memory for nothing.
+			if s.votes == nil {
+				s.votes = votes
+			} else {
+				s.votes = append(s.votes, votes...)
+			}
+			if s.pending == 0 && !s.decided {
+				err = j.decideSlot(s, key)
+				s.decided = true
+			}
 		})
-		stored := map[string]bool{}
-		for _, h := range c.HITs {
-			for qi := range h.Questions {
-				q := &h.Questions[qi]
-				if retrying[q.ID] > 0 || stored[q.ID] {
-					continue
-				}
-				stored[q.ID] = true
-				j.x.answersStore(q, byQ[q.ID])
-			}
-		}
-	}
-	votes := join.CollectVotes(c.HITs, res.Assignments)
-	if j.perQ {
-		// EOS-mode combiners read only eosVotes; buffering per slot too
-		// would double vote memory for nothing.
-		for _, v := range votes {
-			if idx, ok := j.slotOf[v.Question]; ok {
-				s := j.slots[idx]
-				if s.votes == nil {
-					// Size for one HIT's worth of assignments; retried
-					// lineages append past the hint and just regrow.
-					s.votes = make([]combine.Vote, 0, j.phys.Assignments)
-				}
-				s.votes = append(s.votes, v)
-			}
-		}
-	}
-	// Resolve pending counts: one per question (pair interfaces) or one
-	// per candidate cell (grid interfaces).
-	var touchErr error
-	touch := func(key string) {
-		idx, ok := j.slotOf[key]
-		if !ok {
-			return
-		}
-		s := j.slots[idx]
-		s.pending--
-		if done > s.ready {
-			s.ready = done
-		}
-		if s.pending == 0 && !s.decided && j.perQ {
-			if err := j.decideSlot(s, key); err != nil && touchErr == nil {
-				touchErr = err
-			}
-			s.decided = true
-		}
-	}
-	for _, h := range c.HITs {
-		for qi := range h.Questions {
-			q := &h.Questions[qi]
-			// Questions being retried after a refusal or an expiry stay
-			// pending; their verdicts arrive with a later chunk. (The
-			// partial votes of an expired HIT were appended to their
-			// slots above — join slots accumulate votes across the
-			// lineage, so nothing needs the poster's carry here.)
-			if retrying[q.ID] > 0 {
-				retrying[q.ID]--
-				continue
-			}
-			if q.Kind == hit.JoinGridQ {
-				for _, lt := range q.LeftItems {
-					for _, rt := range q.RightItems {
-						touch(join.Pair{Left: lt, Right: rt}.Key())
-					}
-				}
-				continue
-			}
-			touch(q.ID)
-		}
-	}
-	if touchErr != nil {
-		return touchErr
-	}
-	if !j.perQ {
-		j.eosVotes = append(j.eosVotes, votes...)
-	}
-	j.acct.Collected(res.TotalAssignments, poster.ExpiredCount(res.Expired), done, exhausted)
-	return nil
+		return err
+	})
+	return err
 }
 
 // decideSlot resolves one pair from its own votes (PerQuestion path).

@@ -100,12 +100,11 @@ func (a *opAcct) span() float64 {
 	return 0
 }
 
-// qVotes is one question's resolved votes, kept in question order so
-// end-of-stream combiners see a deterministic vote sequence.
-type qVotes struct {
-	slot  int
-	qid   string
-	votes []combine.Vote
+// qRef names one question and the input slot it decides, kept in
+// question order so end-of-stream combiners resolve deterministically.
+type qRef struct {
+	slot int
+	qid  string
 }
 
 // --- Crowd filter (single task and OR of tasks) ---
@@ -133,19 +132,11 @@ type filterBranch struct {
 	post    *poster.Poster
 	acct    *opAcct
 	dupOf   int // branch index this one mirrors; == idx when unique
-	// asked tracks question content this branch has already posted in
-	// THIS run. Later duplicate rows post independently instead of
-	// replaying whatever the earlier chunk may (or may not yet) have
-	// stored in the task cache — cache-hit behavior must not depend on
-	// chunk collection timing, or results would vary with
-	// StreamChunkHITs. Matches the materializing executor, which did
-	// all lookups before any store.
-	asked map[uint64]bool
-	qbuf  []hit.Question
+	qbuf    []hit.Question
 	// eosVotes/eosSlots buffer votes for non-PerQuestion combiners,
 	// which need the full vote matrix in one Combine call.
 	eosVotes []combine.Vote
-	eosSlots []qVotes
+	eosSlots []qRef
 	// agreeSum/agreeN accumulate per-question worker-agreement shares
 	// (stats.MajorityShare) for the observed-statistics feedback.
 	agreeSum float64
@@ -325,7 +316,7 @@ func (br *filterBranch) flushHIT(size int, force bool) error {
 }
 
 // ingest mints one question per tuple per unique branch, answering
-// from the task cache where possible.
+// from the answer store where the branch's poster can.
 func (f *crowdFilterOp) ingest(in *Batch) error {
 	for _, t := range in.Rows() {
 		slotIdx := len(f.slots)
@@ -342,33 +333,16 @@ func (f *crowdFilterOp) ingest(in *Batch) error {
 				Task:  br.ft.Name,
 				Tuple: t,
 			}
-			if !br.asked[q.CacheKey()] {
-				// Per-run task cache first, then the shared cross-query
-				// answer store.
-				cached, ok := []hit.CachedAnswer(nil), false
-				if f.x.eng.Cache != nil {
-					cached, ok = f.x.eng.Cache.Lookup(&q)
-				}
-				if !ok {
-					var err error
-					cached, ok, err = f.x.answersLookup(&q, in.Ready)
-					if err != nil {
-						return err
-					}
-				}
-				if ok {
-					votes := make([]combine.Vote, 0, len(cached))
-					for _, ca := range cached {
-						votes = append(votes, combine.Vote{Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
-					}
-					if err := f.applyBranchVotes(br, []qVotes{{slot: slotIdx, qid: q.ID, votes: votes}}, in.Ready); err != nil {
-						return err
-					}
-					continue
-				}
+			served, err := br.post.Serve(&q, in.Ready, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
+				return f.applyAnswers(br, slotIdx, q.ID, as, done)
+			})
+			if err != nil {
+				return err
+			}
+			if served {
+				continue
 			}
 			f.slotOf[q.ID] = slotIdx
-			br.asked[q.CacheKey()] = true
 			br.qbuf = append(br.qbuf, q)
 			if err := br.flushHIT(f.hitSize, false); err != nil {
 				return err
@@ -378,17 +352,25 @@ func (f *crowdFilterOp) ingest(in *Batch) error {
 	return nil
 }
 
-// applyBranchVotes resolves one branch's verdicts for a run of
-// questions (PerQuestion path) or defers them to finalize (EOS path).
-// Combine errors fail the query, as they did under the materializing
-// executor — an empty decision map would silently reject everything.
-func (f *crowdFilterOp) applyBranchVotes(br *filterBranch, list []qVotes, done float64) error {
-	for _, qv := range list {
-		if len(qv.votes) == 0 {
-			continue
-		}
-		vals := make([]string, len(qv.votes))
-		for i, v := range qv.votes {
+// boolVotes turns one yes/no question's worker answers into votes.
+func boolVotes(qid string, as []hit.CachedAnswer) []combine.Vote {
+	votes := make([]combine.Vote, 0, len(as))
+	for _, ca := range as {
+		votes = append(votes, combine.Vote{Question: qid, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
+	}
+	return votes
+}
+
+// applyAnswers resolves one branch question's verdict from its
+// answers, stored or collected (PerQuestion path), or defers it to
+// finalize (EOS path). Combine errors fail the query, as they did under
+// the materializing executor — an empty decision map would silently
+// reject everything.
+func (f *crowdFilterOp) applyAnswers(br *filterBranch, slot int, qid string, as []hit.CachedAnswer, done float64) error {
+	votes := boolVotes(qid, as)
+	if len(votes) > 0 {
+		vals := make([]string, len(votes))
+		for i, v := range votes {
 			vals[i] = v.Value
 		}
 		if share, _, ok := stats.MajorityShare(vals); ok {
@@ -397,28 +379,24 @@ func (f *crowdFilterOp) applyBranchVotes(br *filterBranch, list []qVotes, done f
 		}
 	}
 	if !br.perQ {
-		for _, qv := range list {
-			br.eosVotes = append(br.eosVotes, qv.votes...)
-			br.eosSlots = append(br.eosSlots, qVotes{slot: qv.slot, qid: qv.qid})
-		}
+		br.eosVotes = append(br.eosVotes, votes...)
+		br.eosSlots = append(br.eosSlots, qRef{slot: slot, qid: qid})
 		return nil
 	}
-	for _, qv := range list {
-		s := f.slots[qv.slot]
-		if len(qv.votes) > 0 {
-			decisions, err := br.comb.Combine(qv.votes)
-			if err != nil {
-				return err
-			}
-			d, ok := decisions[qv.qid]
-			if br.accepts(d, ok) {
-				s.accepted = true
-			}
+	s := f.slots[slot]
+	if len(votes) > 0 {
+		decisions, err := br.comb.Combine(votes)
+		if err != nil {
+			return err
 		}
-		s.pending--
-		if done > s.ready {
-			s.ready = done
+		d, ok := decisions[qid]
+		if br.accepts(d, ok) {
+			s.accepted = true
 		}
+	}
+	s.pending--
+	if done > s.ready {
+		s.ready = done
 	}
 	return nil
 }
@@ -428,21 +406,7 @@ func (f *crowdFilterOp) applyBranchVotes(br *filterBranch, list []qVotes, done f
 // resolved votes.
 func (f *crowdFilterOp) collectChunk(ctx context.Context, br *filterBranch) error {
 	_, err := br.post.CollectOne(ctx, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
-		if f.x.eng.Cache != nil && len(as) > 0 {
-			// Voteless questions (refused HITs) must not poison the
-			// cache: a stored empty entry would make every later
-			// identical question resolve to rejection without ever
-			// reaching the crowd. Questions deferred to an expiry retry
-			// never reach this callback and store their merged vote set
-			// when the retry resolves.
-			f.x.eng.Cache.Store(q, as)
-		}
-		f.x.answersStore(q, as)
-		votes := make([]combine.Vote, 0, len(as))
-		for _, ca := range as {
-			votes = append(votes, combine.Vote{Question: q.ID, Worker: ca.WorkerID, Value: combine.BoolVote(ca.Answer.Bool)})
-		}
-		return f.applyBranchVotes(br, []qVotes{{slot: f.slotOf[q.ID], qid: q.ID, votes: votes}}, done)
+		return f.applyAnswers(br, f.slotOf[q.ID], q.ID, as, done)
 	})
 	return err
 }

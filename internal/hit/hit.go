@@ -2,7 +2,8 @@
 // posts to a crowd marketplace. It implements the paper's HIT generation
 // pipeline (§2.5–§2.6): batching (merging several tuples into one HIT and
 // combining several tasks over one tuple), HIT groups, HTML compilation,
-// and the content-addressed task cache.
+// and the content keys (Question.CacheKey) the answer store is
+// addressed by.
 package hit
 
 import (
@@ -239,6 +240,14 @@ type Answer struct {
 	Order []int
 	// Rating is the Likert response for RateQ (1..Scale).
 	Rating int
+}
+
+// CachedAnswer is one worker's answer to a question, detached from its
+// assignment: the unit answer stores keep and replay, and the vote set
+// a poster resolves each question with.
+type CachedAnswer struct {
+	WorkerID string
+	Answer   Answer
 }
 
 // Assignment is one worker's completed pass over one HIT.

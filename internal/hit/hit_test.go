@@ -235,34 +235,6 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
-	c := NewCache()
-	q := &Question{Kind: FilterQ, Task: "t", Tuple: imgTuple("a")}
-	if _, ok := c.Lookup(q); ok {
-		t.Error("empty cache hit")
-	}
-	c.Store(q, []CachedAnswer{{WorkerID: "w1", Answer: Answer{Bool: true}}})
-	got, ok := c.Lookup(q)
-	if !ok || len(got) != 1 || !got[0].Answer.Bool {
-		t.Errorf("cache lookup = %v, %v", got, ok)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d, %d; want 1, 1", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d", c.Len())
-	}
-	// Stored slice is copied.
-	ans := []CachedAnswer{{WorkerID: "w"}}
-	c.Store(q, ans)
-	ans[0].WorkerID = "mutated"
-	got, _ = c.Lookup(q)
-	if got[0].WorkerID != "w" {
-		t.Error("cache aliased caller slice")
-	}
-}
-
 func TestSortAssignments(t *testing.T) {
 	as := []Assignment{
 		{HITID: "h2", WorkerID: "w1"},

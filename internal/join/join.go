@@ -329,7 +329,7 @@ func RunSeq(candidates PairSeq, jt *task.EquiJoin, opts Options, market crowd.Ma
 	res.Assignments = run.Assignments
 
 	// Collect votes per pair.
-	res.Votes = CollectVotes(hits, run.Assignments)
+	res.Votes = collectVotes(hits, run.Assignments)
 
 	// Combine and keep accepted pairs in first-appearance order.
 	decisions, err := opts.Combiner.Combine(res.Votes)
@@ -447,11 +447,10 @@ func min(a, b int) int {
 	return b
 }
 
-// CollectVotes turns assignments into per-pair yes/no votes. Grid
+// collectVotes turns assignments into per-pair yes/no votes. Grid
 // answers expand to votes over every cell: selected cells vote yes,
-// unselected cells vote no. Exported for the streaming executor, which
-// collects chunk by chunk.
-func CollectVotes(hits []*hit.HIT, assignments []hit.Assignment) []combine.Vote {
+// unselected cells vote no.
+func collectVotes(hits []*hit.HIT, assignments []hit.Assignment) []combine.Vote {
 	var votes []combine.Vote
 	hit.ForEachAnswer(hits, assignments, func(q *hit.Question, worker string, ans hit.Answer) {
 		switch q.Kind {

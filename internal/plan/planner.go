@@ -47,31 +47,24 @@ func (p *planner) build(stmt *query.SelectStmt) (Node, error) {
 	p.bind(stmt.From)
 	var node Node = &Scan{Table: stmt.From.Table, Alias: stmt.From.Alias}
 
-	// WHERE: machine predicates first (pushdown), then crowd filters
-	// serially in query order (conjuncts are serial, §2.5).
-	var machine, crowdConj []query.Expr
+	// WHERE conjuncts sit at the lowest level where every table they
+	// name is in scope: over the FROM scan, or directly above the join
+	// that brings their last table in.
+	var where [][]query.Expr
 	if stmt.Where != nil {
+		where = make([][]query.Expr, len(stmt.Joins)+1)
 		for _, c := range conjuncts(stmt.Where) {
-			if isMachine(c) {
-				machine = append(machine, c)
-			} else {
-				crowdConj = append(crowdConj, c)
-			}
+			lvl := whereLevel(c, stmt)
+			where[lvl] = append(where[lvl], c)
 		}
 	}
-	for _, m := range machine {
-		node = &MachineFilter{Input: node, Expr: m}
-	}
-	for _, c := range crowdConj {
-		n, err := p.crowdPredicate(node, c)
-		if err != nil {
-			return nil, err
-		}
-		node = n
+	node, err := p.where(node, where, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// Joins, left-deep in query order.
-	for _, jc := range stmt.Joins {
+	for k, jc := range stmt.Joins {
 		p.bind(jc.Table)
 		right := Node(&Scan{Table: jc.Table.Table, Alias: jc.Table.Alias})
 		jt, err := p.bindEquiJoin(jc.On)
@@ -84,7 +77,9 @@ func (p *planner) build(stmt *query.SelectStmt) (Node, error) {
 				return nil, err
 			}
 		}
-		node = cj
+		if node, err = p.where(cj, where, k+1); err != nil {
+			return nil, err
+		}
 	}
 
 	// SELECT: generative UDF items need Generate nodes.
@@ -156,6 +151,78 @@ func (p *planner) build(stmt *query.SelectStmt) (Node, error) {
 	return node, nil
 }
 
+// where stacks level lvl's WHERE conjuncts on node: machine predicates
+// first (pushdown), then crowd filters serially in query order
+// (conjuncts are serial, §2.5). Above a join (lvl > 0) a filter task's
+// unqualified prompt fields bind to the table its call names, since a
+// bare column may be ambiguous in the joined tuple.
+func (p *planner) where(node Node, where [][]query.Expr, lvl int) (Node, error) {
+	if lvl >= len(where) {
+		return node, nil
+	}
+	var crowdConj []query.Expr
+	for _, c := range where[lvl] {
+		if isMachine(c) {
+			node = &MachineFilter{Input: node, Expr: c}
+		} else {
+			crowdConj = append(crowdConj, c)
+		}
+	}
+	for _, c := range crowdConj {
+		n, err := p.crowdPredicate(node, c, lvl > 0)
+		if err != nil {
+			return nil, err
+		}
+		node = n
+	}
+	return node, nil
+}
+
+// whereLevel places one WHERE conjunct: 0 (over the FROM scan) when it
+// names no table, only the FROM table, or a table the query does not
+// bind; otherwise k+1, where Joins[k] is the last join that brings a
+// table it names into scope.
+func whereLevel(e query.Expr, stmt *query.SelectStmt) int {
+	lvl := 0
+	for _, q := range qualifiers(e, nil) {
+		if names(stmt.From, q) {
+			continue
+		}
+		for k, jc := range stmt.Joins {
+			if names(jc.Table, q) {
+				lvl = max(lvl, k+1)
+				break
+			}
+		}
+	}
+	return lvl
+}
+
+// names reports whether a column qualifier refers to table ref t.
+func names(t query.TableRef, qualifier string) bool {
+	return strings.EqualFold(qualifier, t.Binding()) || strings.EqualFold(qualifier, t.Table)
+}
+
+// qualifiers appends the table qualifiers of every column e references,
+// UDF arguments included.
+func qualifiers(e query.Expr, out []string) []string {
+	switch t := e.(type) {
+	case *query.ColumnRef:
+		if t.Qualifier != "" {
+			out = append(out, t.Qualifier)
+		}
+	case *query.Binary:
+		out = qualifiers(t.R, qualifiers(t.L, out))
+	case *query.Not:
+		out = qualifiers(t.X, out)
+	case *query.UDFCall:
+		for _, a := range t.Args {
+			out = qualifiers(a, out)
+		}
+	}
+	return out
+}
+
 func (p *planner) bind(t query.TableRef) {
 	p.bindings[strings.ToLower(t.Binding())] = true
 	p.bindings[strings.ToLower(t.Table)] = true
@@ -192,11 +259,12 @@ func isMachine(e query.Expr) bool {
 }
 
 // crowdPredicate lowers one crowd WHERE conjunct: a UDF call, NOT of
-// one, or an OR of them.
-func (p *planner) crowdPredicate(input Node, e query.Expr) (Node, error) {
+// one, or an OR of them. qualify binds the filter tasks' unqualified
+// prompt fields to the table each call names.
+func (p *planner) crowdPredicate(input Node, e query.Expr, qualify bool) (Node, error) {
 	switch t := e.(type) {
 	case *query.UDFCall:
-		ft, err := p.bindFilter(t)
+		ft, err := p.bindFilter(t, qualify)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +274,7 @@ func (p *planner) crowdPredicate(input Node, e query.Expr) (Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: NOT is only supported over a filter UDF, got %s", t.X)
 		}
-		ft, err := p.bindFilter(call)
+		ft, err := p.bindFilter(call, qualify)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +284,7 @@ func (p *planner) crowdPredicate(input Node, e query.Expr) (Node, error) {
 			return nil, fmt.Errorf("plan: unsupported crowd predicate %s", e)
 		}
 		or := &CrowdFilterOr{Input: input}
-		if err := p.collectOr(or, t); err != nil {
+		if err := p.collectOr(or, t, qualify); err != nil {
 			return nil, err
 		}
 		return or, nil
@@ -225,18 +293,18 @@ func (p *planner) crowdPredicate(input Node, e query.Expr) (Node, error) {
 	}
 }
 
-func (p *planner) collectOr(or *CrowdFilterOr, e query.Expr) error {
+func (p *planner) collectOr(or *CrowdFilterOr, e query.Expr, qualify bool) error {
 	switch t := e.(type) {
 	case *query.Binary:
 		if t.Op != "OR" {
 			return fmt.Errorf("plan: unsupported expression %s inside OR", e)
 		}
-		if err := p.collectOr(or, t.L); err != nil {
+		if err := p.collectOr(or, t.L, qualify); err != nil {
 			return err
 		}
-		return p.collectOr(or, t.R)
+		return p.collectOr(or, t.R, qualify)
 	case *query.UDFCall:
-		ft, err := p.bindFilter(t)
+		ft, err := p.bindFilter(t, qualify)
 		if err != nil {
 			return err
 		}
@@ -248,7 +316,7 @@ func (p *planner) collectOr(or *CrowdFilterOr, e query.Expr) error {
 		if !ok {
 			return fmt.Errorf("plan: NOT inside OR must wrap a UDF, got %s", t.X)
 		}
-		ft, err := p.bindFilter(call)
+		ft, err := p.bindFilter(call, qualify)
 		if err != nil {
 			return err
 		}
@@ -349,7 +417,7 @@ func (p *planner) bindCall(call *query.UDFCall) (task.Task, error) {
 	return task.Bind(t, mapping)
 }
 
-func (p *planner) bindFilter(call *query.UDFCall) (*task.Filter, error) {
+func (p *planner) bindFilter(call *query.UDFCall, qualify bool) (*task.Filter, error) {
 	t, err := p.bindCall(call)
 	if err != nil {
 		return nil, err
@@ -358,7 +426,41 @@ func (p *planner) bindFilter(call *query.UDFCall) (*task.Filter, error) {
 	if !ok {
 		return nil, fmt.Errorf("plan: %s is a %s task, WHERE needs a Filter", call.Name, t.TaskType())
 	}
+	if qualify {
+		return qualifyFields(ft, call)
+	}
 	return ft, nil
+}
+
+// qualifyFields binds a filter task's unqualified prompt fields to the
+// one table its call's arguments name (left as is when they name none
+// or several).
+func qualifyFields(ft *task.Filter, call *query.UDFCall) (*task.Filter, error) {
+	q := ""
+	for _, a := range call.Args {
+		c, ok := a.(*query.ColumnRef)
+		if !ok || c.Qualifier == "" {
+			continue
+		}
+		if q != "" && !strings.EqualFold(q, c.Qualifier) {
+			return ft, nil
+		}
+		q = c.Qualifier
+	}
+	mapping := map[string]string{}
+	for _, f := range ft.Prompt.Fields {
+		if q != "" && !strings.Contains(f, ".") {
+			mapping[f] = q + "." + f
+		}
+	}
+	if len(mapping) == 0 {
+		return ft, nil
+	}
+	t, err := task.Bind(ft, mapping)
+	if err != nil {
+		return nil, err
+	}
+	return t.(*task.Filter), nil
 }
 
 func (p *planner) bindEquiJoin(call *query.UDFCall) (*task.EquiJoin, error) {

@@ -17,6 +17,19 @@
 // Re-minted retry HITs derive their IDs from the failed HIT's lineage,
 // never from a shared builder, so the invariance survives refusals and
 // expirations too.
+//
+// A poster configured with an answer store is the one place a crowd
+// operator reads and feeds it: Serve answers a freshly minted question
+// from stored votes (the question is then never posted), and CollectOne
+// stores each collected question's lineage-merged votes before
+// resolving it. A poster consults the store for a question's content
+// until that content is first posted from it; from then on, repeats of
+// the content post too. So whether a question is served depends only
+// on the store state when its content is first minted here — never on
+// which chunk happened to be collected in between — and for a fixed
+// store state a run is bit-identical at any batch or chunk size.
+// Concurrent queries mutating a shared store are inherently racy
+// across queries; whichever posts first pays, the other reuses.
 package poster
 
 import (
@@ -27,8 +40,8 @@ import (
 	"qurk/internal/hit"
 )
 
-// Chunk is one sub-group of HITs in flight on the marketplace.
-type Chunk struct {
+// chunk is one sub-group of HITs in flight on the marketplace.
+type chunk struct {
 	// HITs are the chunk's posted HITs.
 	HITs []*hit.HIT
 	ch   <-chan crowd.Async
@@ -47,6 +60,16 @@ type Acct interface {
 	// Collected folds in a completed chunk's assignment and expiry
 	// counts, completion time, and exhausted (incomplete) question IDs.
 	Collected(assignments, expired int, done float64, incomplete []string)
+}
+
+// Answers is the content-addressed answer store a poster serves minted
+// questions from and feeds collected ones to; core.AnswerStore
+// satisfies it.
+type Answers interface {
+	// Lookup returns servable stored votes for q's content.
+	Lookup(q *hit.Question) ([]hit.CachedAnswer, bool)
+	// Store records a collected question's votes.
+	Store(q *hit.Question, answers []hit.CachedAnswer)
 }
 
 // Config parametrizes a Poster.
@@ -71,6 +94,14 @@ type Config struct {
 	// ExpiredRetries bounds how deep an expired HIT's re-posting
 	// lineage may go (0 disables).
 	ExpiredRetries int
+	// Answers, when non-nil, is the store Serve reads and CollectOne
+	// feeds.
+	Answers Answers
+	// Served, when non-nil, observes every question Serve answers from
+	// the store — with its content key and the virtual-clock time — so
+	// the caller can count the reuse and journal the replay; an error
+	// fails the Serve.
+	Served func(q *hit.Question, key uint64, clock float64) error
 }
 
 // Poster slices one logical HIT group into fixed-size runs and posts
@@ -80,7 +111,7 @@ type Poster struct {
 	cfg      Config
 	seq      *int
 	queued   []*hit.HIT
-	inflight []Chunk
+	inflight []chunk
 	// retries maps a re-minted HIT's ID to its refusal-lineage depth;
 	// xretries likewise for expiry lineages, and lineageAsns carries the
 	// completed-assignment count down an expiry lineage so exhaustion
@@ -88,10 +119,14 @@ type Poster struct {
 	retries     map[string]int
 	xretries    map[string]int
 	lineageAsns map[string]int
-	// carry stashes the partial answers of questions whose HIT is being
-	// re-posted after an expiry, keyed by question ID, until the retry
-	// resolves and the vote sets merge.
-	carry map[string][]hit.CachedAnswer
+	// carry stashes the partial answers of question occurrences whose
+	// HIT is being re-posted after an expiry, keyed by the occurrence in
+	// the re-posted HIT, until the retry resolves and the vote sets
+	// merge.
+	carry map[occurrence][]hit.CachedAnswer
+	// posted holds the content keys (Question.CacheKey) this poster
+	// minted and the answer store could not serve.
+	posted map[uint64]struct{}
 	// minClock floors the PostedAt stamp of subsequent chunks: a chunk
 	// holding retried HITs cannot be posted before the refusal (or
 	// expiry) that spawned them was observed on the virtual clock.
@@ -112,29 +147,67 @@ func New(cfg Config) *Poster {
 	return &Poster{cfg: cfg, seq: cfg.Seq}
 }
 
+// occurrence is one question slot of one HIT: a join chunk can hold
+// the same question ID in several HITs, and each occurrence resolves
+// with its own votes.
+type occurrence struct {
+	hit string
+	q   int
+}
+
 // GroupID reports the poster's HIT-group label.
 func (p *Poster) GroupID() string { return p.cfg.GroupID }
 
 // Enqueue queues HITs for chunked posting.
 func (p *Poster) Enqueue(hs ...*hit.HIT) { p.queued = append(p.queued, hs...) }
 
-// HasChunk reports whether a full chunk is ready (or, when forcing at
+// Serve answers a freshly minted question from the answer store when
+// the poster has a store, q's content was never posted from this
+// poster, and the store holds a servable entry: it reports the reuse
+// to Config.Served, resolves q with the stored votes at clock, and
+// returns true — the caller must not post q. On a miss the content
+// counts as posted, so later repeats of it post as well.
+func (p *Poster) Serve(q *hit.Question, clock float64, resolve Resolve) (bool, error) {
+	if p.cfg.Answers == nil {
+		return false, nil
+	}
+	key := q.CacheKey()
+	if _, ok := p.posted[key]; ok {
+		return false, nil
+	}
+	as, ok := p.cfg.Answers.Lookup(q)
+	if !ok {
+		if p.posted == nil {
+			p.posted = map[uint64]struct{}{}
+		}
+		p.posted[key] = struct{}{}
+		return false, nil
+	}
+	if p.cfg.Served != nil {
+		if err := p.cfg.Served(q, key, clock); err != nil {
+			return false, err
+		}
+	}
+	return true, resolve(q, as, clock)
+}
+
+// hasChunk reports whether a full chunk is ready (or, when forcing at
 // end of stream, any queued HITs remain).
-func (p *Poster) HasChunk(force bool) bool {
+func (p *Poster) hasChunk(force bool) bool {
 	return len(p.queued) >= p.cfg.ChunkHITs || (force && len(p.queued) > 0)
 }
 
-// CanPost reports whether the lookahead window has room.
-func (p *Poster) CanPost() bool { return len(p.inflight) < p.cfg.Lookahead }
+// canPost reports whether the lookahead window has room.
+func (p *Poster) canPost() bool { return len(p.inflight) < p.cfg.Lookahead }
 
 // Backlogged means the poster cannot accept more work until a collect.
-func (p *Poster) Backlogged() bool { return len(p.queued) >= p.cfg.ChunkHITs && !p.CanPost() }
+func (p *Poster) Backlogged() bool { return len(p.queued) >= p.cfg.ChunkHITs && !p.canPost() }
 
 // Idle reports whether nothing is queued or in flight.
 func (p *Poster) Idle() bool { return len(p.queued) == 0 && len(p.inflight) == 0 }
 
-// PostOne posts the next chunk at the given virtual-clock time.
-func (p *Poster) PostOne(clock float64) {
+// postOne posts the next chunk at the given virtual-clock time.
+func (p *Poster) postOne(clock float64) {
 	if p.minClock > clock {
 		clock = p.minClock
 	}
@@ -142,17 +215,17 @@ func (p *Poster) PostOne(clock float64) {
 	if n > len(p.queued) {
 		n = len(p.queued)
 	}
-	chunk := p.queued[:n:n]
+	hs := p.queued[:n:n]
 	p.queued = p.queued[n:]
 	*p.seq++
-	p.inflight = append(p.inflight, Chunk{
-		HITs:     chunk,
-		ch:       p.cfg.Market.RunAsync(&hit.Group{ID: p.cfg.GroupID, HITs: chunk}),
+	p.inflight = append(p.inflight, chunk{
+		HITs:     hs,
+		ch:       p.cfg.Market.RunAsync(&hit.Group{ID: p.cfg.GroupID, HITs: hs}),
 		PostedAt: clock,
 		Seq:      *p.seq,
 	})
 	if p.cfg.Acct != nil {
-		p.cfg.Acct.Posted(chunk, clock)
+		p.cfg.Acct.Posted(hs, clock)
 	}
 }
 
@@ -160,8 +233,8 @@ func (p *Poster) PostOne(clock float64) {
 // and a chunk is ready (force: any queued HITs count as one at end of
 // stream).
 func (p *Poster) PostReady(force bool, clock float64) {
-	for p.CanPost() && p.HasChunk(force) {
-		p.PostOne(clock)
+	for p.canPost() && p.hasChunk(force) {
+		p.postOne(clock)
 	}
 }
 
@@ -174,18 +247,15 @@ func (p *Poster) OldestSeq() int {
 	return p.inflight[0].Seq
 }
 
-// Collect awaits the oldest in-flight chunk.
-func (p *Poster) Collect(ctx context.Context) (Chunk, *crowd.RunResult, error) {
+// collect awaits the oldest in-flight chunk.
+func (p *Poster) collect(ctx context.Context) (chunk, *crowd.RunResult, error) {
 	c := p.inflight[0]
 	p.inflight = p.inflight[1:]
 	res, err := crowd.Await(ctx, c.ch)
-	if err != nil {
-		return c, nil, err
-	}
-	return c, res, nil
+	return c, res, err
 }
 
-// RetryRefused implements the operator-level retry policy for refused
+// retryRefused implements the operator-level retry policy for refused
 // HITs (batch too effortful for the price — the paper's stalled
 // group-size experiments, §4.2.2/§6): each refused HIT's questions are
 // re-minted into HITs of half the batch size and queued for
@@ -194,15 +264,13 @@ func (p *Poster) Collect(ctx context.Context) (Chunk, *crowd.RunResult, error) {
 // builder — so the retry stream (and a simulator's per-HIT answer
 // draws) is bit-identical at any chunk/lookahead setting.
 //
-// It returns how many occurrences of each question ID are now being
-// retried — the caller must skip resolving exactly that many
-// occurrences in this chunk (join pair keys can repeat across HITs) —
-// and the exhausted questions' IDs, which resolve with zero votes.
-// Single-question HITs (including SmartBatch grids and comparison
-// groups) cannot shrink and exhaust immediately. observedAt is the
-// virtual-clock time the refusal was learned; later chunks cannot be
-// posted before it.
-func (p *Poster) RetryRefused(c Chunk, incomplete []string, observedAt float64) (map[string]int, []string, error) {
+// It returns the IDs of the HITs being retried, whose questions stay
+// pending, and the exhausted questions' IDs, which resolve with zero
+// votes. Single-question HITs (including SmartBatch grids and
+// comparison groups) cannot shrink and exhaust immediately. observedAt
+// is the virtual-clock time the refusal was learned; later chunks
+// cannot be posted before it.
+func (p *Poster) retryRefused(c chunk, incomplete []string, observedAt float64) (map[string]bool, []string, error) {
 	if len(incomplete) == 0 {
 		return nil, nil, nil
 	}
@@ -210,7 +278,7 @@ func (p *Poster) RetryRefused(c Chunk, incomplete []string, observedAt float64) 
 	for _, id := range incomplete {
 		refused[id] = true
 	}
-	var retrying map[string]int
+	retrying := map[string]bool{}
 	var exhausted []string
 	for _, h := range c.HITs {
 		if !refused[h.ID] {
@@ -241,22 +309,25 @@ func (p *Poster) RetryRefused(c Chunk, incomplete []string, observedAt float64) 
 				p.retries = map[string]int{}
 			}
 			p.retries[nh.ID] = depth + 1
+			// Answers carried down an expiry lineage follow their
+			// questions into the half-size HITs.
+			for qi := start; qi < end; qi++ {
+				if ca, ok := p.carry[occurrence{h.ID, qi}]; ok {
+					delete(p.carry, occurrence{h.ID, qi})
+					p.carry[occurrence{nh.ID, qi - start}] = ca
+				}
+			}
 			p.Enqueue(nh)
 		}
-		if retrying == nil {
-			retrying = map[string]int{}
-		}
-		for qi := range h.Questions {
-			retrying[h.Questions[qi].ID]++
-		}
+		retrying[h.ID] = true
 	}
-	if retrying != nil && observedAt > p.minClock {
+	if len(retrying) > 0 && observedAt > p.minClock {
 		p.minClock = observedAt
 	}
 	return retrying, exhausted, nil
 }
 
-// RetryExpired implements the assignment-timeout policy for HITs whose
+// retryExpired implements the assignment-timeout policy for HITs whose
 // assignments were accepted but never submitted (a live marketplace
 // surfaces this as assignment expiration): each such HIT is re-posted
 // with the SAME questions but only the missing assignment count, down
@@ -265,16 +336,14 @@ func (p *Poster) RetryRefused(c Chunk, incomplete []string, observedAt float64) 
 // builder — so, exactly as with refusal retries, the retry stream is
 // bit-identical at any chunk/lookahead setting.
 //
-// It returns how many occurrences of each question ID are deferred to
-// the retry (the caller stashes their partial votes via StashCarry and
-// skips resolving that many occurrences this chunk) plus the questions
-// that exhausted the expiry budget WITHOUT ever receiving a completed
-// assignment anywhere down their lineage — the only expiry outcome
-// that loses a question. Exhausted questions that do hold partial
-// votes simply resolve with them. observedAt is the virtual-clock time
-// the expiry was detected (the assignment deadline); later chunks
-// cannot be posted before it.
-func (p *Poster) RetryExpired(c Chunk, res *crowd.RunResult, observedAt float64) (map[string]int, []string, error) {
+// It maps each re-posted HIT's ID to its retry's ID (CollectOne carries
+// the partial votes over) and returns the questions that exhausted the
+// expiry budget WITHOUT ever receiving a completed assignment anywhere
+// down their lineage — the only expiry outcome that loses a question.
+// Exhausted questions that do hold partial votes simply resolve with
+// them. observedAt is the virtual-clock time the expiry was detected
+// (the assignment deadline); later chunks cannot be posted before it.
+func (p *Poster) retryExpired(c chunk, res *crowd.RunResult, observedAt float64) (map[string]string, []string, error) {
 	if len(res.Expired) == 0 {
 		return nil, nil, nil
 	}
@@ -282,7 +351,7 @@ func (p *Poster) RetryExpired(c Chunk, res *crowd.RunResult, observedAt float64)
 	for i := range res.Assignments {
 		completed[res.Assignments[i].HITID]++
 	}
-	var retrying map[string]int
+	retrying := map[string]string{}
 	var incomplete []string
 	for _, h := range c.HITs {
 		missing := res.Expired[h.ID]
@@ -320,58 +389,12 @@ func (p *Poster) RetryExpired(c Chunk, res *crowd.RunResult, observedAt float64)
 		p.xretries[nh.ID] = depth + 1
 		p.lineageAsns[nh.ID] = total
 		p.Enqueue(nh)
-		if retrying == nil {
-			retrying = map[string]int{}
-		}
-		for qi := range h.Questions {
-			retrying[h.Questions[qi].ID]++
-		}
+		retrying[h.ID] = nh.ID
 	}
-	if retrying != nil && observedAt > p.minClock {
+	if len(retrying) > 0 && observedAt > p.minClock {
 		p.minClock = observedAt
 	}
 	return retrying, incomplete, nil
-}
-
-// MergeRetrying folds two per-question deferral counts (refusal and
-// expiry retries) into one; a HIT is never both refused and expired, so
-// the counts are disjoint by HIT but can share question IDs on the join
-// path, where pair keys repeat across HITs.
-func MergeRetrying(a, b map[string]int) map[string]int {
-	if len(b) == 0 {
-		return a
-	}
-	if a == nil {
-		return b
-	}
-	for qid, n := range b {
-		a[qid] += n
-	}
-	return a
-}
-
-// StashCarry saves a question's partial answers until its expiry retry
-// resolves; TakeCarry prepends them back. Both are no-ops for questions
-// with nothing stashed.
-func (p *Poster) StashCarry(qid string, as []hit.CachedAnswer) {
-	if len(as) == 0 {
-		return
-	}
-	if p.carry == nil {
-		p.carry = map[string][]hit.CachedAnswer{}
-	}
-	p.carry[qid] = append(p.carry[qid], as...)
-}
-
-// TakeCarry merges a question's stashed partial answers (in lineage
-// order) ahead of the newly arrived ones.
-func (p *Poster) TakeCarry(qid string, as []hit.CachedAnswer) []hit.CachedAnswer {
-	ca := p.carry[qid]
-	if len(ca) == 0 {
-		return as
-	}
-	delete(p.carry, qid)
-	return append(append([]hit.CachedAnswer(nil), ca...), as...)
 }
 
 // FlushQuestions merges buffered questions into HITs of exactly `size`
@@ -394,59 +417,119 @@ func (p *Poster) FlushQuestions(b *hit.Builder, qbuf *[]hit.Question, size int, 
 	return nil
 }
 
-// Resolve is CollectOne's per-question callback: q's carry-merged
-// answers (possibly empty for refusal-exhausted questions) and the
-// chunk's virtual-clock completion time.
+// Resolve is the per-question callback of Serve and CollectOne: q's
+// answers — stored, or collected and merged down its expiry lineage
+// (possibly empty for refusal-exhausted questions) — and the
+// virtual-clock time they became available.
 type Resolve func(q *hit.Question, as []hit.CachedAnswer, done float64) error
 
 // CollectOne awaits the oldest in-flight chunk, re-posts refused and
 // expired HITs within their retry budgets, and resolves every question
-// not deferred to a retry, in HIT-then-question order, with its
-// carry-merged answers. Exhausted questions (refusal budget spent, or
-// expiry budget spent with a voteless lineage) are reported to the
-// Acct as incomplete; refusal-exhausted occurrences still get a
-// Resolve call with zero answers so the caller can close out their
-// slots. It returns the chunk's completion time on the virtual clock.
+// occurrence not deferred to a retry, in HIT-then-question order, with
+// its own answers merged after those its expiry lineage carried — and,
+// when the poster has an answer store, stores that non-empty vote set
+// first. Exhausted questions (refusal budget spent, or expiry budget
+// spent with a voteless lineage) are reported to the Acct as
+// incomplete; refusal-exhausted occurrences still get a Resolve call
+// with zero answers so the caller can close out their slots. It returns
+// the chunk's completion time on the virtual clock.
 func (p *Poster) CollectOne(ctx context.Context, resolve Resolve) (float64, error) {
-	c, res, err := p.Collect(ctx)
+	c, res, err := p.collect(ctx)
 	if err != nil {
 		return 0, err
 	}
 	done := c.PostedAt + res.MakespanHours
-	retrying, exhausted, err := p.RetryRefused(c, res.Incomplete, done)
+	refused, exhausted, err := p.retryRefused(c, res.Incomplete, done)
 	if err != nil {
 		return 0, err
 	}
-	xretrying, xincomplete, err := p.RetryExpired(c, res, done)
+	expired, xincomplete, err := p.retryExpired(c, res, done)
 	if err != nil {
 		return 0, err
 	}
-	retrying = MergeRetrying(retrying, xretrying)
-	answers := map[string][]hit.CachedAnswer{}
-	hit.ForEachAnswer(c.HITs, res.Assignments, func(q *hit.Question, worker string, ans hit.Answer) {
-		answers[q.ID] = append(answers[q.ID], hit.CachedAnswer{WorkerID: worker, Answer: ans})
-	})
+	answers := groupAnswers(c.HITs, res.Assignments)
+	k := 0
 	for _, h := range c.HITs {
+		if refused[h.ID] {
+			k += len(h.Questions)
+			continue
+		}
+		retry, deferred := expired[h.ID]
 		for qi := range h.Questions {
 			q := &h.Questions[qi]
-			if retrying[q.ID] > 0 {
-				retrying[q.ID]--
-				p.StashCarry(q.ID, answers[q.ID])
-				delete(answers, q.ID)
+			as := p.takeCarry(occurrence{h.ID, qi}, answers[k])
+			k++
+			if deferred {
+				if len(as) > 0 {
+					if p.carry == nil {
+						p.carry = map[occurrence][]hit.CachedAnswer{}
+					}
+					p.carry[occurrence{retry, qi}] = as
+				}
 				continue
 			}
-			merged := p.TakeCarry(q.ID, answers[q.ID])
-			answers[q.ID] = merged
-			if err := resolve(q, merged, done); err != nil {
+			// Voteless questions (refused HITs) must not be stored: an
+			// empty entry would resolve every later identical question to
+			// nothing without ever reaching the crowd.
+			if p.cfg.Answers != nil && len(as) > 0 {
+				p.cfg.Answers.Store(q, as)
+			}
+			if err := resolve(q, as, done); err != nil {
 				return 0, err
 			}
 		}
 	}
 	exhausted = append(exhausted, xincomplete...)
 	if p.cfg.Acct != nil {
-		p.cfg.Acct.Collected(res.TotalAssignments, ExpiredCount(res.Expired), done, exhausted)
+		p.cfg.Acct.Collected(res.TotalAssignments, expiredCount(res.Expired), done, exhausted)
 	}
 	return done, nil
+}
+
+// groupAnswers routes a chunk's completed assignments to their question
+// occurrences, numbered in HIT-then-question order: answers[k] holds
+// occurrence k's answers in assignment order. All answers share one
+// backing array; each occurrence's slice is capped at its own answers.
+func groupAnswers(hits []*hit.HIT, assignments []hit.Assignment) [][]hit.CachedAnswer {
+	n := 0
+	for _, h := range hits {
+		n += len(h.Questions)
+	}
+	occ := make(map[*hit.Question]int, n)
+	for _, h := range hits {
+		for qi := range h.Questions {
+			occ[&h.Questions[qi]] = len(occ)
+		}
+	}
+	// off[k]..off[k+1] is occurrence k's span of the backing array.
+	off := make([]int, n+1)
+	hit.ForEachAnswer(hits, assignments, func(q *hit.Question, _ string, _ hit.Answer) {
+		off[occ[q]+1]++
+	})
+	for k := 1; k <= n; k++ {
+		off[k] += off[k-1]
+	}
+	flat := make([]hit.CachedAnswer, off[n])
+	answers := make([][]hit.CachedAnswer, n)
+	for k := range answers {
+		answers[k] = flat[off[k]:off[k]:off[k+1]]
+	}
+	hit.ForEachAnswer(hits, assignments, func(q *hit.Question, worker string, ans hit.Answer) {
+		k := occ[q]
+		answers[k] = append(answers[k], hit.CachedAnswer{WorkerID: worker, Answer: ans})
+	})
+	return answers
+}
+
+// takeCarry merges an occurrence's stashed lineage answers (in lineage
+// order) ahead of its newly arrived ones.
+func (p *Poster) takeCarry(o occurrence, as []hit.CachedAnswer) []hit.CachedAnswer {
+	ca := p.carry[o]
+	if len(ca) == 0 {
+		return as
+	}
+	delete(p.carry, o)
+	return append(ca, as...)
 }
 
 // Drain drives a fully enqueued poster to completion: post chunks
@@ -475,8 +558,8 @@ func (p *Poster) Drain(ctx context.Context, clock float64, resolve Resolve) (flo
 	return last, nil
 }
 
-// ExpiredCount totals a chunk's expired assignments for stats.
-func ExpiredCount(expired map[string]int) int {
+// expiredCount totals a chunk's expired assignments for stats.
+func expiredCount(expired map[string]int) int {
 	n := 0
 	for _, c := range expired {
 		n += c

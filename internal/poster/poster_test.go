@@ -323,7 +323,7 @@ func TestFlushQuestionsPartialFlush(t *testing.T) {
 	if len(p.queued) != 2 || len(qbuf) != 1 || qbuf[0].ID != "q6" {
 		t.Fatalf("unforced flush: %d HITs queued, buffer %v; want 2 and [q6]", len(p.queued), qbuf)
 	}
-	if p.HasChunk(false) || !p.HasChunk(true) {
+	if p.hasChunk(false) || !p.hasChunk(true) {
 		t.Error("two queued HITs should form a chunk only when forced")
 	}
 	if err := p.FlushQuestions(b, &qbuf, 3, true); err != nil {
@@ -338,5 +338,152 @@ func TestFlushQuestionsPartialFlush(t *testing.T) {
 	if len(qbuf) != 0 || !reflect.DeepEqual(sizes, []int{3, 3, 1}) ||
 		!reflect.DeepEqual(ids, []string{"g/hit0001", "g/hit0002", "g/hit0003"}) {
 		t.Errorf("forced flush: buffer %d, HIT sizes %v, IDs %v", len(qbuf), sizes, ids)
+	}
+}
+
+// memStore is an in-memory Answers that counts lookups and logs every
+// Store call as "<question ID>:<workers>".
+type memStore struct {
+	entries map[uint64][]hit.CachedAnswer
+	lookups int
+	stores  []string
+}
+
+func (s *memStore) Lookup(q *hit.Question) ([]hit.CachedAnswer, bool) {
+	s.lookups++
+	as, ok := s.entries[q.CacheKey()]
+	return as, ok
+}
+
+func (s *memStore) Store(q *hit.Question, as []hit.CachedAnswer) {
+	s.stores = append(s.stores, q.ID+":"+workersOf(as))
+}
+
+// workersOf joins the answers' worker IDs with commas.
+func workersOf(as []hit.CachedAnswer) string {
+	out := ""
+	for i, ca := range as {
+		if i > 0 {
+			out += ","
+		}
+		out += ca.WorkerID
+	}
+	return out
+}
+
+// TestServeUntilPosted: a poster serves stored content at every mint,
+// reporting each served question with its content key and clock before
+// resolving it with the stored votes, and consults the store for
+// unstored content only until it first posts; a failing Served hook
+// fails the Serve, and a poster without a store serves nothing.
+func TestServeUntilPosted(t *testing.T) {
+	stored := hit.Question{ID: "a1", Kind: hit.FilterQ, Task: "a"}
+	s := &memStore{entries: map[uint64][]hit.CachedAnswer{stored.CacheKey(): {{WorkerID: "w9"}}}}
+	var log []string
+	resolve := func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
+		log = append(log, fmt.Sprintf("resolve %s:%s@%g", q.ID, workersOf(as), done))
+		return nil
+	}
+	p := New(Config{GroupID: "g", ChunkHITs: 1, Lookahead: 1, Answers: s,
+		Served: func(q *hit.Question, key uint64, clock float64) error {
+			if key != q.CacheKey() {
+				t.Errorf("%s served under key %#x, want its content key", q.ID, key)
+			}
+			log = append(log, fmt.Sprintf("served %s@%g", q.ID, clock))
+			return nil
+		}})
+	for i, id := range []string{"a1", "a2"} {
+		q := hit.Question{ID: id, Kind: hit.FilterQ, Task: "a"}
+		if served, err := p.Serve(&q, float64(i), resolve); !served || err != nil {
+			t.Errorf("Serve(%s) = %v, %v; want served", id, served, err)
+		}
+	}
+	for _, id := range []string{"b1", "b2"} {
+		q := hit.Question{ID: id, Kind: hit.FilterQ, Task: "b"}
+		if served, err := p.Serve(&q, 0, resolve); served || err != nil {
+			t.Errorf("Serve(%s) = %v, %v; want a miss", id, served, err)
+		}
+	}
+	want := []string{"served a1@0", "resolve a1:w9@0", "served a2@1", "resolve a2:w9@1"}
+	if s.lookups != 3 || !reflect.DeepEqual(log, want) {
+		t.Errorf("%d lookups, log %v; want 3 (b2 is not looked up) and %v", s.lookups, log, want)
+	}
+
+	boom := errors.New("journal full")
+	failing := New(Config{GroupID: "g", ChunkHITs: 1, Lookahead: 1, Answers: s,
+		Served: func(*hit.Question, uint64, float64) error { return boom }})
+	if served, err := failing.Serve(&stored, 0, resolve); served || !errors.Is(err, boom) {
+		t.Errorf("failing hook: Serve = %v, %v; want the hook's error", served, err)
+	}
+	if served, err := New(Config{GroupID: "g", ChunkHITs: 1, Lookahead: 1}).Serve(&stored, 0, resolve); served || err != nil {
+		t.Errorf("storeless poster: Serve = %v, %v; want a miss", served, err)
+	}
+}
+
+// TestCollectOneFeedsStoreByOccurrence: each occurrence of a question
+// ID resolves with its own votes (an expired occurrence only once its
+// retry lands, with the lineage's votes merged), the store is fed each
+// non-empty merged vote set before the occurrence resolves, and a
+// voteless occurrence resolves without being stored.
+func TestCollectOneFeedsStoreByOccurrence(t *testing.T) {
+	m := &scriptMarket{script: func(h *hit.HIT) ([]string, bool, int) {
+		switch h.ID {
+		case "g/hit0001":
+			return []string{"w1"}, false, 1
+		case "g/hit0001/x1":
+			return []string{"w2"}, false, 0
+		case "g/hit0002":
+			return []string{"w3", "w4"}, false, 0
+		}
+		return nil, true, 0
+	}}
+	s := &memStore{}
+	p := New(Config{Market: m, GroupID: "g", ChunkHITs: 3, Lookahead: 1, Answers: s, ExpiredRetries: 1})
+	enqueue(t, p, []hit.Question{
+		{ID: "k", Kind: hit.FilterQ, Task: "k"},
+		{ID: "k", Kind: hit.FilterQ, Task: "k"},
+		{ID: "r", Kind: hit.FilterQ, Task: "r"},
+	}, 1, 2)
+	var got []string
+	_, err := p.Drain(context.Background(), 0, func(q *hit.Question, as []hit.CachedAnswer, _ float64) error {
+		if n := len(s.stores); len(as) > 0 && (n == 0 || s.stores[n-1] != q.ID+":"+workersOf(as)) {
+			t.Errorf("%s resolved before its votes were stored (stores %v)", q.ID, s.stores)
+		}
+		got = append(got, q.ID+":"+workersOf(as))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"k:w3,w4", "r:", "k:w1,w2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resolved %v, want %v", got, want)
+	}
+	if want := []string{"k:w3,w4", "k:w1,w2"}; !reflect.DeepEqual(s.stores, want) {
+		t.Errorf("stored %v, want %v", s.stores, want)
+	}
+}
+
+// TestRefusedRetryKeepsExpiryCarry: when an expiry retry is refused
+// and re-minted at half size, the partial votes its lineage carried
+// follow each question into its half-size HIT.
+func TestRefusedRetryKeepsExpiryCarry(t *testing.T) {
+	m := &scriptMarket{script: func(h *hit.HIT) ([]string, bool, int) {
+		switch h.ID {
+		case "g/hit0001":
+			return []string{"w1"}, false, 1
+		case "g/hit0001/x1":
+			return nil, true, 0
+		}
+		return []string{"w2"}, false, 0
+	}}
+	p := New(Config{Market: m, GroupID: "g", ChunkHITs: 1, Lookahead: 1, RefusedRetries: 1, ExpiredRetries: 1})
+	enqueue(t, p, filterQuestions(2), 2, 2)
+	var r resolved
+	if _, err := p.Drain(context.Background(), 0, r.resolve); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{"q0": {"w1", "w2"}, "q1": {"w1", "w2"}}
+	if r.calls != 2 || !reflect.DeepEqual(r.workers, want) {
+		t.Errorf("resolved %d: %v, want 2: %v", r.calls, r.workers, want)
 	}
 }

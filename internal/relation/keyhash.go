@@ -3,9 +3,9 @@ package relation
 import "strconv"
 
 // Manual FNV-1a, byte-for-byte equivalent to hash/fnv's New64a but
-// allocation-free: Tuple.Key sits under the task cache, the WAL
-// checkpoint digests, the answer store, and the spill digests, so the
-// hash VALUES must never change — only the cost of computing them.
+// allocation-free: Tuple.Key sits under the WAL checkpoint digests, the
+// answer store, and the spill digests, so the hash VALUES must never
+// change — only the cost of computing them.
 
 // FNV-1a parameters (FNV-0 offset basis and 64-bit prime).
 const (

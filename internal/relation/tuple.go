@@ -98,8 +98,8 @@ func (t Tuple) Rebind(s *Schema) (Tuple, error) {
 	return Tuple{schema: s, vals: t.vals}, nil
 }
 
-// Key returns a stable content hash of the tuple, used by the task cache
-// to memoize HITs over identical inputs (TurKit-style, paper §2.6).
+// Key returns a stable positional content hash of the tuple: the
+// within-run identity of a row (join pair keys, build-side digests).
 // The byte sequence hashed — (kind byte, String() bytes, NUL) per value
 // under FNV-1a — is load-bearing: WAL checkpoint digests, the answer
 // store, and spill digests all embed these values, so the manual fold

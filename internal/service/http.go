@@ -218,7 +218,10 @@ func (s *Service) handleRows(w http.ResponseWriter, r *http.Request, q *Query) {
 		if encErr := enc.Encode(line); encErr != nil {
 			return encErr
 		}
-		if flusher != nil {
+		// Flush once the stream has caught up with the query rather than
+		// per row: a write syscall per row kept this goroutine busy while
+		// a fast query kept appending, and delayed the first bytes.
+		if flusher != nil && i+1 >= q.rowCount() {
 			flusher.Flush()
 		}
 		return nil

@@ -17,7 +17,7 @@
 //     engine the service builds: a question some earlier query already
 //     paid for is served from the store and never posted again.
 //
-// Each submitted query gets its own engine — fresh ledger, cache, and
+// Each submitted query gets its own engine — fresh ledger and
 // options — sharing the service-wide catalog, task library, answer
 // store, and backend mux. Results stream: rows are appended to the
 // query as the executor yields batches, and any number of subscribers
@@ -642,6 +642,13 @@ func (q *Query) StreamRows(ctx context.Context, from int, fn func(i int, t relat
 			return st, ctx.Err()
 		}
 	}
+}
+
+// rowCount reports how many rows the query has produced so far.
+func (q *Query) rowCount() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.rows)
 }
 
 // Get returns a query by ID.

@@ -327,27 +327,6 @@ func TestMaxTournament(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	n := 15
-	o := &sqOracle{n: n, sigma: 0.005}
-	top, res, err := TopK(squares(n), rankTask(), 3, CompareOptions{GroupSize: 5, Assignments: 5, Seed: 3}, sqMarket(59, o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("topK = %v", top)
-	}
-	want := []int{14, 13, 12}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Errorf("top[%d] = %d, want %d (full order %v)", i, top[i], want[i], res.Order)
-		}
-	}
-	if _, _, err := TopK(squares(n), rankTask(), 0, CompareOptions{}, sqMarket(1, o)); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestSortValidation(t *testing.T) {
 	o := &sqOracle{n: 2}
 	if _, err := Compare(squares(1), rankTask(), CompareOptions{}, sqMarket(1, o)); err == nil {

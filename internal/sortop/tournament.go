@@ -157,24 +157,3 @@ func Max(items *relation.Relation, rt *task.Rank, opts MaxOptions, market crowd.
 	res.Rounds = round
 	return res, nil
 }
-
-// TopK performs a complete sort and extracts the K greatest items, as
-// the paper implements LIMIT over ORDER BY (§2.3).
-func TopK(items *relation.Relation, rt *task.Rank, k int, opts CompareOptions, market crowd.Marketplace) ([]int, *CompareResult, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("sortop: top-K needs K ≥ 1")
-	}
-	res, err := Compare(items, rt, opts, market)
-	if err != nil {
-		return nil, nil, err
-	}
-	if k > len(res.Order) {
-		k = len(res.Order)
-	}
-	top := make([]int, k)
-	// Order is least→most; take the tail reversed (greatest first).
-	for i := 0; i < k; i++ {
-		top[i] = res.Order[len(res.Order)-1-i]
-	}
-	return top, res, nil
-}

@@ -202,8 +202,8 @@ var (
 // --- Engine and query execution ---
 
 type (
-	// Engine bundles catalog, task library, marketplace, cache, and
-	// cost ledger.
+	// Engine bundles catalog, task library, marketplace, cost ledger,
+	// and the optional answer store, journal and statistics store.
 	Engine = core.Engine
 	// Options are the engine-wide execution knobs.
 	Options = core.Options
