@@ -59,7 +59,7 @@ func main() {
 		storeAgree  = flag.Int("store-min-agreement", 0, "serve stored answers only at or above this vote count")
 		storeMaxAge = flag.Duration("store-max-age", 0, "serve stored answers only younger than this (0 = forever)")
 		defBudget   = flag.Float64("default-budget", 0, "budget in dollars for tenants not named by -tenant (0 = unlimited)")
-		journalDir  = flag.String("journal-dir", "", "directory of per-query manifests + WAL journals: every query becomes durable, and a restarted daemon resumes unfinished ones exactly where they stopped (empty = ephemeral)")
+		journalDir  = flag.String("journal-dir", "", "directory of per-query WAL journals, one <id>.qjl file per query: every query becomes durable, and a restarted daemon resumes unfinished ones exactly where they stopped (empty = ephemeral)")
 		cbThreshold = flag.Int("circuit-threshold", 5, "consecutive backend failures before the circuit opens and posting parks (0 = no breaker)")
 		cbCooldown  = flag.Duration("circuit-cooldown", 30*time.Second, "how long an open circuit waits before probing the backend again")
 		deadlineHrs = flag.Float64("deadline-hours", 0, "default wall-clock deadline per query; an overdue query fails alone, its journal stays resumable (0 = none)")

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // HeaderSize is the byte length of a frame header.
@@ -116,18 +117,37 @@ type Log struct {
 // a missing file, os.O_CREATE|os.O_EXCL insists on a new one — replays
 // each complete frame's payload through decode in file order,
 // truncates a torn tail, and positions the file for appending. decode
-// must not retain the payload; an error from it fails Open.
+// must not retain the payload; an error from it fails Open. With
+// os.O_CREATE, Open also fsyncs the parent directory, so a file it
+// created keeps its name across a power loss, as the frames Append
+// fsyncs into it do.
 func Open(path string, flag int, decode func(payload []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	l, err := open(f, decode)
+	if err == nil && flag&os.O_CREATE != 0 {
+		err = syncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return l, nil
+}
+
+// syncDir fsyncs a directory, making the names created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("fsync directory: %w", err)
+	}
+	return nil
 }
 
 // open replays f from its start; see Open.

@@ -1,34 +1,33 @@
-// Durable queries: the service-level manifest + WAL pair behind
-// qurkd's -journal-dir, and the restart recovery that resumes them.
+// Durable queries: the one journal file per query behind qurkd's
+// -journal-dir, and the restart recovery that resumes them.
 //
-// Every submitted query persists two files in the journal directory:
+// Every submitted query persists one file in the journal directory,
+// <id>.qjl, a wal.Journal. Its meta record names the tenant, the
+// tenant's budget, the query text, the backend, the resolved options
+// and their fingerprint: everything Recover needs to rebuild the
+// engine. The records after it are the run itself: HIT-group
+// intents/results, breaker checkpoints, budget charge records, and the
+// terminal seal, which make the rebuilt run bit-identical. Charge
+// records (wal.LogCharge) make tenant accounting exactly-once across
+// crashes: the gate journals every ledger charge before the group
+// posts, the recovery replays them into a fresh ledger, and the
+// resumed run pops them (wal.TakeCharge) instead of charging again.
 //
-//	<id>.manifest.json  who/what: tenant, query text, resolved options,
-//	                    backend, budget, and an options fingerprint
-//	<id>.qjl            the wal.Journal of the run itself: HIT-group
-//	                    intents/results, breaker checkpoints, budget
-//	                    charge records, and the terminal seal
-//
-// The manifest is what Recover needs before it can rebuild an engine
-// (the WAL's own meta only carries the query text and fingerprint);
-// the WAL is what makes the rebuilt run bit-identical. Charge records
-// (wal.LogCharge) make tenant accounting exactly-once across crashes:
-// the gate journals every ledger charge before the group posts, the
-// recovery replays them into a fresh ledger, and the resumed run pops
-// them (wal.TakeCharge) instead of charging again.
+// Journals written before the meta carried tenant, budget and options
+// came with a <id>.manifest.json that holds them. Recover still reads
+// such a legacy pair; nothing writes a manifest any more.
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -37,17 +36,6 @@ import (
 	"qurk/internal/plan"
 	"qurk/internal/wal"
 )
-
-// manifest is the service-level record of one durable query.
-type manifest struct {
-	ID            string       `json:"id"`
-	Tenant        string       `json:"tenant"`
-	Backend       string       `json:"backend"`
-	Query         string       `json:"query"`
-	BudgetDollars float64      `json:"budget_dollars"`
-	Options       core.Options `json:"options"`
-	Fingerprint   uint64       `json:"fingerprint"`
-}
 
 // sealCancelled is the seal reason for queries the user explicitly
 // cancelled; unlike "interrupted" seals, Recover does not resume them.
@@ -59,8 +47,8 @@ const sealCancelled = "cancelled"
 // sizes, seeds, and retry budgets, all of which shape HIT identity),
 // and the backend. qurkd passes the backend's configured name, which
 // is stable across restarts and rebuilds; Client passes the
-// marketplace's Go type. The value is persisted in every journal and
-// manifest, so it must never change for the same inputs.
+// marketplace's Go type. The value is persisted in every journal, so
+// it must never change for the same inputs.
 func Fingerprint(src string, opts core.Options, backend string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, src)
@@ -72,68 +60,60 @@ func Fingerprint(src string, opts core.Options, backend string) uint64 {
 	return h.Sum64()
 }
 
-// manifestPath and journalPath name a query's two durable files.
-func (s *Service) manifestPath(id string) string {
-	return filepath.Join(s.cfg.JournalDir, id+".manifest.json")
+// queryMeta is the journal meta of one durable query; opts are the
+// engine's resolved options.
+func queryMeta(tenant string, budget float64, src, backend string, opts core.Options) wal.Meta {
+	ob, _ := json.Marshal(opts)
+	return wal.Meta{
+		Query:         src,
+		Backend:       backend,
+		Fingerprint:   Fingerprint(src, opts, backend),
+		Tenant:        tenant,
+		BudgetDollars: budget,
+		Options:       string(ob),
+	}
 }
 
+// journalPath names a query's one durable file.
 func (s *Service) journalPath(id string) string {
 	return filepath.Join(s.cfg.JournalDir, id+".qjl")
 }
 
-// writeManifest persists the manifest atomically (tmp + rename), so a
-// crash mid-write never leaves a torn manifest for Recover to trip on.
-func (s *Service) writeManifest(m *manifest) error {
-	b, err := json.MarshalIndent(m, "", "  ")
+// legacyMeta completes the meta of a journal written before the meta
+// carried tenant, budget and options, from the manifest written beside
+// it. The two files must name the same query and fingerprint.
+func (s *Service) legacyMeta(id string, jm wal.Meta) (wal.Meta, error) {
+	b, err := os.ReadFile(filepath.Join(s.cfg.JournalDir, id+".manifest.json"))
 	if err != nil {
-		return fmt.Errorf("service: encoding manifest %s: %w", m.ID, err)
+		return jm, fmt.Errorf("service: unreadable manifest: %w", err)
 	}
-	path := s.manifestPath(m.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("service: writing manifest %s: %w", m.ID, err)
+	// The manifest used the meta's field names, with the options as a
+	// JSON object rather than as JSON text.
+	var m struct {
+		wal.Meta
+		Options json.RawMessage `json:"options"`
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("service: committing manifest %s: %w", m.ID, err)
-	}
-	return nil
-}
-
-// readManifest loads one manifest file.
-func readManifest(path string) (*manifest, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
 	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("service: decoding %s: %w", path, err)
+		return jm, fmt.Errorf("service: unreadable manifest: %w", err)
 	}
-	if m.ID == "" || m.Tenant == "" || m.Query == "" {
-		return nil, fmt.Errorf("service: manifest %s is missing id, tenant, or query", path)
+	if m.Tenant == "" || m.Query == "" {
+		return jm, errors.New("service: unreadable manifest: missing tenant or query")
 	}
-	return &m, nil
+	if m.Query != jm.Query || m.Fingerprint != jm.Fingerprint {
+		return jm, fmt.Errorf("service: journal/manifest fingerprint mismatch for %s (manifest %016x, journal %016x): refusing to resume",
+			id, m.Fingerprint, jm.Fingerprint)
+	}
+	m.Meta.Options = string(m.Options)
+	return m.Meta, nil
 }
 
-// attachJournal makes one admitted submission durable: it writes the
-// manifest, creates the WAL, and rewires the engine so every HIT
-// group and budget charge flows through the journal. Returns the open
-// journal the query must seal at its terminal transition.
+// attachJournal makes one admitted submission durable: it creates the
+// WAL, whose meta record carries everything Recover needs, and rewires
+// the engine so every HIT group and budget charge flows through the
+// journal. Returns the open journal the query must seal at its
+// terminal transition.
 func (s *Service) attachJournal(id, backend string, tenant *Tenant, src string, gate *BudgetGate, eng *core.Engine) (*wal.Journal, error) {
-	fp := Fingerprint(src, eng.Options, backend)
-	m := &manifest{
-		ID:            id,
-		Tenant:        tenant.ID,
-		Backend:       backend,
-		Query:         src,
-		BudgetDollars: tenant.BudgetDollars,
-		Options:       eng.Options,
-		Fingerprint:   fp,
-	}
-	if err := s.writeManifest(m); err != nil {
-		return nil, err
-	}
-	j, err := wal.Create(s.journalPath(id), wal.Meta{Query: src, Backend: backend, Fingerprint: fp})
+	j, err := wal.Create(s.journalPath(id), queryMeta(tenant.ID, tenant.BudgetDollars, src, backend, eng.Options))
 	if err != nil {
 		return nil, fmt.Errorf("service: creating journal for %s: %w", id, err)
 	}
@@ -156,9 +136,10 @@ func (s *Service) wireJournal(j *wal.Journal, gate *BudgetGate, eng *core.Engine
 // replay for free so their rows are servable again, and explicitly
 // cancelled ones are registered terminal. Tenant ledgers are rebuilt
 // from the journals' charge records, so a group charged before the
-// crash is never charged again. Queries whose journal does not match
-// their manifest (fingerprint or query-text drift) are registered as
-// failed — the daemon keeps serving everyone else.
+// crash is never charged again. A query whose journal will not open,
+// or whose stored fingerprint does not match the one recomputed from
+// its meta, is registered as failed — the daemon keeps serving
+// everyone else.
 //
 // Callers that configure JournalDir must call Recover exactly once,
 // after New; the service reports not-ready until it completes.
@@ -174,75 +155,64 @@ func (s *Service) Recover() error {
 	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
 		return fmt.Errorf("service: journal dir: %w", err)
 	}
+	// ReadDir sorts by name, and zero-padded IDs (q0001…) make name
+	// order submission order, which keeps recovered ID assignment
+	// stable.
 	entries, err := os.ReadDir(s.cfg.JournalDir)
 	if err != nil {
 		return fmt.Errorf("service: scanning journal dir: %w", err)
 	}
-	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".manifest.json") {
-			names = append(names, e.Name())
+		if id, ok := strings.CutSuffix(e.Name(), ".qjl"); ok && !e.IsDir() {
+			s.recoverOne(id)
 		}
-	}
-	// Submission order: IDs are zero-padded (q0001…), so name order is
-	// submission order, which keeps recovered ID assignment stable.
-	sort.Strings(names)
-	for _, name := range names {
-		path := filepath.Join(s.cfg.JournalDir, name)
-		m, err := readManifest(path)
-		if err != nil {
-			id := strings.TrimSuffix(name, ".manifest.json")
-			s.registerTerminal(&manifest{ID: id, Tenant: "?", Query: "?"}, StateFailed,
-				fmt.Errorf("service: unreadable manifest: %w", err))
-			continue
-		}
-		s.recoverOne(m)
 	}
 	return nil
 }
 
 // recoverOne rebuilds and restarts a single journaled query.
-func (s *Service) recoverOne(m *manifest) {
+func (s *Service) recoverOne(id string) {
+	j, err := wal.Open(s.journalPath(id))
+	if err != nil {
+		s.registerTerminal(id, wal.Meta{}, StateFailed, fmt.Errorf("service: opening journal: %w", err))
+		return
+	}
+	fail := func(m wal.Meta, st State, err error) {
+		_ = j.Close()
+		s.registerTerminal(id, m, st, err)
+	}
+	m := j.Meta()
+	if m.Options == "" {
+		if m, err = s.legacyMeta(id, m); err != nil {
+			fail(m, StateFailed, err)
+			return
+		}
+	}
+	var opts core.Options
+	if err := json.Unmarshal([]byte(m.Options), &opts); err != nil {
+		fail(m, StateFailed, fmt.Errorf("service: decoding options of %s: %w", id, err))
+		return
+	}
 	tenant := s.tenants.Ensure(m.Tenant, m.BudgetDollars)
 	mux, ok := s.muxes[m.Backend]
 	if !ok {
-		s.registerTerminal(m, StateFailed,
-			fmt.Errorf("service: backend %q is no longer configured", m.Backend))
+		fail(m, StateFailed, fmt.Errorf("service: backend %q is no longer configured", m.Backend))
 		return
 	}
 
-	jpath := s.journalPath(m.ID)
-	var j *wal.Journal
-	var err error
-	if _, statErr := os.Stat(jpath); errors.Is(statErr, fs.ErrNotExist) {
-		// Crashed between manifest commit and journal creation: nothing
-		// was posted or charged, so the query starts from scratch.
-		j, err = wal.Create(jpath, wal.Meta{Query: m.Query, Backend: m.Backend, Fingerprint: m.Fingerprint})
-	} else {
-		j, err = wal.Open(jpath)
-	}
-	if err != nil {
-		s.registerTerminal(m, StateFailed, fmt.Errorf("service: opening journal: %w", err))
-		return
-	}
-
-	// The resume guard: manifest, journal meta, and a recomputation
-	// from the manifest's stored options must all agree before any of
-	// the journal's results are trusted for this query text.
-	gate := &BudgetGate{Tenant: tenant, Label: m.ID, Inner: mux}
-	eng := s.newEngine(gate, m.Options)
-	fp := Fingerprint(m.Query, eng.Options, m.Backend)
-	jm := j.Meta()
-	if fp != m.Fingerprint || jm.Fingerprint != m.Fingerprint || jm.Query != m.Query {
-		_ = j.Close()
-		s.registerTerminal(m, StateFailed, fmt.Errorf(
-			"service: journal/manifest fingerprint mismatch for %s (manifest %016x, journal %016x, recomputed %016x): refusing to resume",
-			m.ID, m.Fingerprint, jm.Fingerprint, fp))
+	// The resume guard: a recomputation from the meta's own query,
+	// options and backend must match its stored fingerprint before any
+	// of the journal's results are trusted for this query text.
+	gate := &BudgetGate{Tenant: tenant, Label: id, Inner: mux}
+	eng := s.newEngine(gate, opts)
+	if fp := Fingerprint(m.Query, eng.Options, m.Backend); fp != m.Fingerprint {
+		fail(m, StateFailed, fmt.Errorf(
+			"service: journal fingerprint mismatch for %s (journal %016x, recomputed %016x): refusing to resume",
+			id, m.Fingerprint, fp))
 		return
 	}
 	if sealed, reason := j.Sealed(); sealed && reason == sealCancelled {
-		_ = j.Close()
-		s.registerTerminal(m, StateCancelled, errors.New("service: cancelled before restart"))
+		fail(m, StateCancelled, errors.New("service: cancelled before restart"))
 		return
 	}
 
@@ -250,7 +220,7 @@ func (s *Service) recoverOne(m *manifest) {
 	// every charge the journal recorded; the resumed run pops these
 	// (TakeCharge) instead of charging again.
 	for _, c := range j.Charges() {
-		tenant.Ledger.Add(m.ID, c.HITs, c.Assignments)
+		tenant.Ledger.Add(id, c.HITs, c.Assignments)
 	}
 
 	// Charges recorded before the crash were really spent, so the
@@ -259,13 +229,12 @@ func (s *Service) recoverOne(m *manifest) {
 	// journal stays unsealed, so a later boot can still resume it.
 	root, err := plan.BuildQuery(m.Query, eng.Library)
 	if err != nil {
-		_ = j.Close()
-		s.registerTerminal(m, StateFailed, err)
+		fail(m, StateFailed, err)
 		return
 	}
 
 	s.wireJournal(j, gate, eng)
-	ctx, q := s.register(m.ID, tenant.ID, m.Backend, m.Query, eng, j)
+	ctx, q := s.register(id, tenant.ID, m.Backend, m.Query, eng, j)
 	if q == nil {
 		return // service shut down mid-recovery
 	}
@@ -275,24 +244,24 @@ func (s *Service) recoverOne(m *manifest) {
 
 // registerTerminal records a query that recovery refused to (or need
 // not) restart, so its fate is visible in the API rather than
-// silently dropped.
-func (s *Service) registerTerminal(m *manifest, st State, err error) {
+// silently dropped. Tenant and query text unknown to m read "?".
+func (s *Service) registerTerminal(id string, m wal.Meta, st State, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.noteID(m.ID)
+	s.noteID(id)
 	q := &Query{
-		ID:       m.ID,
-		TenantID: m.Tenant,
+		ID:       id,
+		TenantID: cmp.Or(m.Tenant, "?"),
 		Backend:  m.Backend,
-		Src:      m.Query,
+		Src:      cmp.Or(m.Query, "?"),
 		svc:      s,
 		state:    st,
 		err:      err,
 		wake:     make(chan struct{}),
 	}
 	q.cancelCause = func(error) {}
-	s.queries[m.ID] = q
-	s.order = append(s.order, m.ID)
+	s.queries[id] = q
+	s.order = append(s.order, id)
 }
 
 // noteID advances the ID counter past a recovered ID so new

@@ -9,7 +9,6 @@ package service
 
 import (
 	"errors"
-	"os"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -302,9 +301,10 @@ func TestRestartReplaysCompletedQuery(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsFingerprintMismatch: a manifest whose query no
-// longer matches its journal is refused — that one query surfaces as
-// failed with the mismatch spelled out, and the daemon keeps serving.
+// TestRecoverRejectsFingerprintMismatch: a journal whose meta query no
+// longer matches its stored fingerprint is refused — that one query
+// surfaces as failed with the mismatch spelled out, and the daemon
+// keeps serving.
 func TestRecoverRejectsFingerprintMismatch(t *testing.T) {
 	const n = 8
 	dir := t.TempDir()
@@ -323,21 +323,16 @@ func TestRecoverRejectsFingerprintMismatch(t *testing.T) {
 	waitTerminal(t, q1)
 	svc1.Close()
 
-	// Tamper: swap the manifest's query text for something else. The
-	// stored fingerprint still matches the journal, but recomputing it
-	// from the manifest's own contents exposes the drift.
-	path := svc1.manifestPath(q1.ID)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(b), "isFemale", "isMale", 1)
-	if tampered == string(b) {
-		t.Fatal("tamper had no effect")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Tamper: swap the journal meta's query text for something else
+	// and keep its stored fingerprint. Recomputing the fingerprint from
+	// the meta's own contents exposes the drift.
+	rewriteMeta(t, svc1.journalPath(q1.ID), func(meta string) string {
+		tampered := strings.Replace(meta, "isFemale", "isMale", 1)
+		if tampered == meta {
+			t.Fatal("tamper had no effect")
+		}
+		return tampered
+	})
 
 	m2 := trackingSim(n)
 	svc2, err := New(durableConfig(t, n, dir, m2))
@@ -370,7 +365,7 @@ func TestRecoverRejectsFingerprintMismatch(t *testing.T) {
 }
 
 // TestRecoverFailsQueryThatNoLongerBuilds: recovery plans each query
-// before restarting it. A manifest whose query no longer plans (its
+// before restarting it. A journal whose query no longer plans (its
 // task left the library between boots) fails alone with the planner's
 // error; its journal is left unsealed and open-able for a later boot,
 // and every other recovered query still runs.
@@ -379,22 +374,18 @@ func TestRecoverFailsQueryThatNoLongerBuilds(t *testing.T) {
 	dir := t.TempDir()
 
 	// The state a kill -9 leaves right after two submissions: each has
-	// its manifest and an empty, unsealed journal.
+	// an empty, unsealed journal carrying its full meta.
 	cfg := durableConfig(t, n, dir, trackingSim(n))
 	svc1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.NewEngine(nil, cfg.Options).Options
-	for _, m := range []*manifest{
-		{ID: "q0001", Tenant: "alice", Backend: "sim", Query: joinQuery, Options: opts},
-		{ID: "q0002", Tenant: "bob", Backend: "sim", Query: isFemaleQuery, Options: opts},
+	for _, m := range []struct{ id, tenant, query string }{
+		{"q0001", "alice", joinQuery},
+		{"q0002", "bob", isFemaleQuery},
 	} {
-		m.Fingerprint = Fingerprint(m.Query, m.Options, m.Backend)
-		if err := svc1.writeManifest(m); err != nil {
-			t.Fatal(err)
-		}
-		j, err := wal.Create(svc1.journalPath(m.ID), wal.Meta{Query: m.Query, Backend: m.Backend, Fingerprint: m.Fingerprint})
+		j, err := wal.Create(svc1.journalPath(m.id), queryMeta(m.tenant, 0, m.query, "sim", opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,9 +437,9 @@ func TestRecoverFailsQueryThatNoLongerBuilds(t *testing.T) {
 
 // TestFingerprintPinned pins Fingerprint for a Client-style input
 // (default options, the simulator's Go type as backend) and a
-// qurkd-style input (a backend name). Every journal and manifest
-// stores this value, so a change here strands every run written
-// before it.
+// qurkd-style input (a backend name). Every journal's meta record
+// (and every legacy manifest) stores this value, so a change here
+// strands every run written before it.
 func TestFingerprintPinned(t *testing.T) {
 	for _, c := range []struct {
 		opts    core.Options

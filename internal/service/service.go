@@ -70,10 +70,10 @@ type Config struct {
 	// DefaultBudgetDollars seeds tenants auto-created at submission
 	// time (0 = unlimited).
 	DefaultBudgetDollars float64
-	// JournalDir, when set, makes every query durable by default: a
-	// manifest + WAL pair per query (see journal.go), resumed by
-	// Recover on the next boot. Callers that set it MUST call Recover
-	// once after New — the service reports not-ready until then.
+	// JournalDir, when set, makes every query durable by default: one
+	// WAL file per query (see journal.go), resumed by Recover on the
+	// next boot. Callers that set it MUST call Recover once after New
+	// — the service reports not-ready until then.
 	JournalDir string
 	// Clock drives per-query deadlines (Options.DeadlineHours) and is
 	// shared with the circuit breakers; nil means wall time.
@@ -412,8 +412,9 @@ func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 	}
 
 	// Durable by default when a journal directory is configured: the
-	// manifest + WAL pair commits before the query starts, so a crash
-	// at ANY later point leaves enough on disk for Recover to resume.
+	// journal and its meta record commit before the query starts, so a
+	// crash at ANY later point leaves enough on disk for Recover to
+	// resume.
 	var j *wal.Journal
 	if s.cfg.JournalDir != "" {
 		if j, err = s.attachJournal(id, backend, tenant, req.Query, gate, eng); err != nil {

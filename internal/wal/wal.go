@@ -60,6 +60,15 @@ type Meta struct {
 	// Fingerprint hashes the query source, engine options, and backend
 	// so a journal can only resume the run that created it.
 	Fingerprint uint64 `json:"fingerprint"`
+	// Tenant, BudgetDollars and Options are set by the query service
+	// only: the tenant the query runs for, that tenant's budget, and
+	// the engine's resolved options as JSON text, which the service
+	// encodes and decodes. With Query and Backend they are all a
+	// restarted service needs to rebuild the run. Client journals
+	// leave them empty.
+	Tenant        string  `json:"tenant,omitempty"`
+	BudgetDollars float64 `json:"budget_dollars,omitempty"`
+	Options       string  `json:"options,omitempty"`
 }
 
 // record is the on-disk JSON payload; exactly one of the per-type
@@ -179,10 +188,12 @@ func Open(path string) (*Journal, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		if !sawMeta && rec.T != recMeta {
+		switch {
+		case !sawMeta && rec.T != recMeta:
 			return fmt.Errorf("first record is %q, not meta", rec.T)
-		}
-		if rec.T == recMeta && rec.Meta == nil {
+		case sawMeta && rec.T == recMeta:
+			return errors.New("second meta record")
+		case rec.T == recMeta && rec.Meta == nil:
 			return errors.New("meta record without meta")
 		}
 		j.apply(&rec)
