@@ -28,7 +28,7 @@ func main() {
 		// Comparison-based sort: quadratic HITs, best accuracy.
 		m1 := qurk.NewSimMarket(qurk.DefaultMarketConfig(int64(20+qi)), animals.Oracle())
 		cmp, err := qurk.Compare(animals.Rel, q.task,
-			qurk.CompareOptions{GroupSize: 5, Assignments: 5, Seed: 1}, m1)
+			qurk.CompareOptions{GroupSize: 5, Assignments: 5}, m1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 		}
 
 		fmt.Printf("  Compare: %3d HITs, agreement kappa %.2f, cycles %d\n",
-			cmp.HITCount, kappa, cmp.CycleCount)
+			cmp.HITCount, kappa, cmp.Cycles())
 		fmt.Printf("  Rate:    %3d HITs, tau vs Compare %.2f\n", rate.HITCount, tauRateVsCompare)
 		fmt.Printf("  Hybrid:  %3d HITs, tau vs Compare %.2f\n", hy.TotalHITs(), tauHybridVsCompare)
 		if kappa < 0.2 {

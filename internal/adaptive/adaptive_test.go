@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"qurk/internal/core"
 	"qurk/internal/crowd"
 	"qurk/internal/dataset"
 	"qurk/internal/relation"
@@ -258,8 +257,8 @@ func TestAdaptiveVsFixedCostComparison(t *testing.T) {
 		t.Fatal(err)
 	}
 	mF := crowd.NewSimMarket(crowd.DefaultConfig(11), d.Oracle())
-	fixedRes, err := core.RunFilter(d.Celeb, dataset.IsFemaleTask(),
-		core.FilterOptions{Assignments: 11, BatchSize: 5}, mF)
+	fixedRes, err := RunAdaptiveFilter(d.Celeb, dataset.IsFemaleTask(),
+		VoteConfig{MinVotes: 11, MaxVotes: 11}, mF)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,71 +7,7 @@ import (
 	"qurk/internal/crowd"
 	"qurk/internal/dataset"
 	"qurk/internal/query"
-	"qurk/internal/task"
 )
-
-func celebMarket(t *testing.T, n int, seed int64) (*dataset.Celebrities, *crowd.SimMarket) {
-	t.Helper()
-	d := dataset.NewCelebrities(dataset.CelebrityConfig{N: n, Seed: seed})
-	return d, crowd.NewSimMarket(crowd.DefaultConfig(seed), d.Oracle())
-}
-
-func TestRunFilterIsFemale(t *testing.T) {
-	d, m := celebMarket(t, 30, 1)
-	res, err := RunFilter(d.Celeb, dataset.IsFemaleTask(), FilterOptions{Assignments: 5, BatchSize: 5}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ceil(30/5) = 6 HITs.
-	if res.HITCount != 6 {
-		t.Errorf("HITs = %d, want 6", res.HITCount)
-	}
-	// Accuracy vs ground truth.
-	correct := 0
-	for i := 0; i < d.Celeb.Len(); i++ {
-		truth, _ := d.Oracle().FilterTruth("isFemale", d.Celeb.Row(i))
-		if res.Decisions[i] == truth {
-			correct++
-		}
-	}
-	if correct < 27 {
-		t.Errorf("filter accuracy = %d/30", correct)
-	}
-	if res.Passed.Len() == 0 || res.Passed.Len() == 30 {
-		t.Errorf("passed = %d rows, expected a real split", res.Passed.Len())
-	}
-}
-
-func TestRunFilterNegate(t *testing.T) {
-	d, m := celebMarket(t, 20, 3)
-	pos, err := RunFilter(d.Celeb, dataset.IsFemaleTask(), FilterOptions{GroupID: "a"}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg, err := RunFilter(d.Celeb, dataset.IsFemaleTask(), FilterOptions{GroupID: "b", Negate: true}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Positive and negative partitions should cover everything (same
-	// votes could disagree across runs, so allow small slack).
-	total := pos.Passed.Len() + neg.Passed.Len()
-	if total < 18 || total > 22 {
-		t.Errorf("pos %d + neg %d = %d, want ≈20", pos.Passed.Len(), neg.Passed.Len(), total)
-	}
-}
-
-func TestRunFilterEmptyAndValidation(t *testing.T) {
-	d, m := celebMarket(t, 5, 7)
-	empty := d.Celeb.Limit(0)
-	res, err := RunFilter(empty, dataset.IsFemaleTask(), FilterOptions{}, m)
-	if err != nil || res.HITCount != 0 {
-		t.Errorf("empty filter: %v, %v", res, err)
-	}
-	bad := &task.Filter{Prompt: task.MustPrompt("x")}
-	if _, err := RunFilter(d.Celeb, bad, FilterOptions{}, m); err == nil {
-		t.Error("invalid task accepted")
-	}
-}
 
 func TestRunGenerativeNumInScene(t *testing.T) {
 	mv := dataset.NewMovie(dataset.MovieConfig{Scenes: 40, Actors: 3, Seed: 11})

@@ -1,3 +1,9 @@
+// Package core ties Qurk's pieces into an engine: the task library the
+// planner resolves UDF names against, the engine Options, the
+// marketplace handle, the cost ledger, and the interfaces durability,
+// the answer store and observed statistics plug in through. The crowd
+// operators themselves run in internal/exec; core keeps only
+// RunGenerative, the library runner for generative tasks (§2.2).
 package core
 
 import (

@@ -118,33 +118,3 @@ func TestAbandonmentExtendsMakespan(t *testing.T) {
 			clean.MakespanHours, res.MakespanHours)
 	}
 }
-
-// TestAbandonmentStreamDelivery: RunStream still delivers only HITs
-// that produced assignments, and delivered assignments match Run's.
-func TestAbandonmentStreamDelivery(t *testing.T) {
-	mkRes := func() (*RunResult, map[string]int) {
-		m := abandonMarket(13, 0.4)
-		delivered := map[string]int{}
-		res, err := m.RunStream(abandonGroup(12), func(hitID string, as []hit.Assignment) {
-			delivered[hitID] += len(as)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, delivered
-	}
-	res, delivered := mkRes()
-	total := 0
-	for _, n := range delivered {
-		total += n
-	}
-	if total != res.TotalAssignments {
-		t.Errorf("delivered %d assignments, result holds %d", total, res.TotalAssignments)
-	}
-	for id, n := range delivered {
-		if n == 0 {
-			t.Errorf("HIT %s delivered with zero assignments", id)
-		}
-		_ = id
-	}
-}

@@ -501,18 +501,3 @@ func TestRunValidation(t *testing.T) {
 		t.Error("invalid HIT accepted")
 	}
 }
-
-func TestRunAll(t *testing.T) {
-	oracle := &pairOracle{difficulty: 0.1, n: 100}
-	m := NewSimMarket(DefaultConfig(41), oracle)
-	g1 := buildPairHITs(10, 5)
-	g2 := buildPairHITs(10, 5)
-	g2.ID = "g2"
-	res, err := m.RunAll(g1, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalAssignments != 100 {
-		t.Errorf("total = %d, want 100", res.TotalAssignments)
-	}
-}

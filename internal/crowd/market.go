@@ -26,6 +26,13 @@ import (
 // implementation must produce results for a group that depend only on
 // the group's content (and, for the simulator, the configured seed),
 // never on the interleaving of concurrent Run calls.
+//
+// An implementation writes its posting logic once and derives the other
+// method with a one-line adapter: a backend that blocks by nature posts
+// in Run and returns GoRun(Run) from RunAsync; a wrapper that must
+// commit something before the call returns (a journal intent, a budget
+// charge, an admission) posts in RunAsync, and its Run receives from
+// RunAsync.
 type Marketplace interface {
 	// Run posts one HIT group and blocks until every assignment
 	// completes, is refused, or expires (accepted by a worker but never
@@ -33,8 +40,7 @@ type Marketplace interface {
 	Run(group *hit.Group) (*RunResult, error)
 	// RunAsync posts one HIT group without blocking. The returned
 	// channel is buffered and receives exactly one outcome when the
-	// group completes. Implementations that have no native async path
-	// can wrap Run with GoRun.
+	// group completes.
 	RunAsync(group *hit.Group) <-chan Async
 }
 
@@ -76,8 +82,8 @@ func Await(ctx context.Context, ch <-chan Async) (*RunResult, error) {
 	}
 }
 
-// GoRun adapts a blocking run function into the RunAsync shape; useful
-// for Marketplace implementations without a native async path.
+// GoRun adapts a blocking run function into the RunAsync shape: the
+// RunAsync of a Marketplace whose posting body is its Run.
 func GoRun(run func() (*RunResult, error)) <-chan Async {
 	ch := make(chan Async, 1)
 	go func() {
@@ -85,50 +91,6 @@ func GoRun(run func() (*RunResult, error)) <-chan Async {
 		ch <- Async{Result: r, Err: err}
 	}()
 	return ch
-}
-
-// StreamMarketplace is an optional extension: marketplaces that can
-// deliver per-HIT assignment batches as they complete, so callers can
-// overlap vote aggregation with in-flight simulation. deliver is called
-// serially (never concurrently with itself), possibly out of HIT order,
-// once per HIT that produced assignments. The final RunResult is
-// identical to what Run would return.
-type StreamMarketplace interface {
-	Marketplace
-	// RunStream posts one group and calls deliver once per HIT that
-	// produced assignments, as results become available; it returns the
-	// same RunResult Run would.
-	RunStream(group *hit.Group, deliver func(hitID string, as []hit.Assignment)) (*RunResult, error)
-}
-
-// Stream posts a group and feeds per-HIT results to deliver as they
-// complete, using the native streaming path when the marketplace has
-// one and falling back to a blocking Run followed by sequential
-// delivery otherwise.
-func Stream(m Marketplace, group *hit.Group, deliver func(hitID string, as []hit.Assignment)) (*RunResult, error) {
-	if sm, ok := m.(StreamMarketplace); ok {
-		return sm.RunStream(group, deliver)
-	}
-	res, err := m.Run(group)
-	if err != nil {
-		return nil, err
-	}
-	if deliver != nil {
-		// Group by HIT (without assuming the implementation returned
-		// assignments sorted) so deliver fires exactly once per HIT.
-		byHIT := map[string][]hit.Assignment{}
-		var order []string
-		for _, a := range res.Assignments {
-			if _, seen := byHIT[a.HITID]; !seen {
-				order = append(order, a.HITID)
-			}
-			byHIT[a.HITID] = append(byHIT[a.HITID], a)
-		}
-		for _, id := range order {
-			deliver(id, byHIT[id])
-		}
-	}
-	return res, nil
 }
 
 // RunResult is the outcome of posting a HIT group.
@@ -156,8 +118,9 @@ type RunResult struct {
 	TotalAssignments int
 }
 
-// addExpired records n expired assignments against a HIT.
-func (out *RunResult) addExpired(hitID string, n int) {
+// AddExpired records n expired assignments against a HIT; a
+// marketplace's posting body calls it as it finds each expiry.
+func (out *RunResult) AddExpired(hitID string, n int) {
 	if n <= 0 {
 		return
 	}
@@ -165,19 +128,6 @@ func (out *RunResult) addExpired(hitID string, n int) {
 		out.Expired = map[string]int{}
 	}
 	out.Expired[hitID] += n
-}
-
-// merge appends r's outcome to out.
-func (out *RunResult) merge(r *RunResult) {
-	out.Assignments = append(out.Assignments, r.Assignments...)
-	out.Incomplete = append(out.Incomplete, r.Incomplete...)
-	for id, n := range r.Expired {
-		out.addExpired(id, n)
-	}
-	out.TotalAssignments += r.TotalAssignments
-	if r.MakespanHours > out.MakespanHours {
-		out.MakespanHours = r.MakespanHours
-	}
 }
 
 // Config parametrizes the simulated marketplace.
@@ -319,11 +269,11 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// SimMarket is the simulated marketplace. Run, RunAsync, RunStream, and
-// RunAll are all safe for concurrent use: every HIT draws its answers
-// and latencies from a private RNG seeded by hash(Seed, groupID, hitID),
-// so results are bit-identical for a fixed seed regardless of core
-// count, scheduling order, or how many groups are in flight at once.
+// SimMarket is the simulated marketplace. Run and RunAsync are safe for
+// concurrent use: every HIT draws its answers and latencies from a
+// private RNG seeded by hash(Seed, groupID, hitID), so results are
+// bit-identical for a fixed seed regardless of core count, scheduling
+// order, or how many groups are in flight at once.
 type SimMarket struct {
 	cfg    Config
 	oracle Oracle
@@ -573,20 +523,9 @@ type posting struct {
 	idBase int
 }
 
-// Run implements Marketplace.
+// Run implements Marketplace: HITs simulate concurrently on a pool
+// bounded by Config.Parallelism (default GOMAXPROCS).
 func (m *SimMarket) Run(group *hit.Group) (*RunResult, error) {
-	return m.RunStream(group, nil)
-}
-
-// RunAsync implements Marketplace.
-func (m *SimMarket) RunAsync(group *hit.Group) <-chan Async {
-	return GoRun(func() (*RunResult, error) { return m.Run(group) })
-}
-
-// RunStream implements StreamMarketplace: HITs simulate concurrently on
-// a pool bounded by Config.Parallelism (default GOMAXPROCS) and deliver
-// fires serially as each HIT completes.
-func (m *SimMarket) RunStream(group *hit.Group, deliver func(hitID string, as []hit.Assignment)) (*RunResult, error) {
 	if group == nil || len(group.HITs) == 0 {
 		return &RunResult{}, nil
 	}
@@ -658,13 +597,9 @@ func (m *SimMarket) RunStream(group *hit.Group, deliver func(hitID string, as []
 			m.sem <- struct{}{}
 			perHIT[i], perExpired[i] = m.simulateHIT(group.ID, &postings[i], baseMakespan, rcfg)
 			<-m.sem
-			if deliver != nil && len(perHIT[i]) > 0 {
-				deliver(postings[i].h.ID, perHIT[i])
-			}
 		}
 	} else {
 		var next atomic.Int64
-		var deliverMu sync.Mutex
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -676,15 +611,8 @@ func (m *SimMarket) RunStream(group *hit.Group, deliver func(hitID string, as []
 						return
 					}
 					m.sem <- struct{}{}
-					as, exp := m.simulateHIT(group.ID, &postings[i], baseMakespan, rcfg)
+					perHIT[i], perExpired[i] = m.simulateHIT(group.ID, &postings[i], baseMakespan, rcfg)
 					<-m.sem
-					perHIT[i] = as
-					perExpired[i] = exp
-					if deliver != nil && len(as) > 0 {
-						deliverMu.Lock()
-						deliver(postings[i].h.ID, as)
-						deliverMu.Unlock()
-					}
 				}
 			}()
 		}
@@ -700,7 +628,7 @@ func (m *SimMarket) RunStream(group *hit.Group, deliver func(hitID string, as []
 			}
 		}
 		res.Assignments = append(res.Assignments, as...)
-		res.addExpired(postings[i].h.ID, perExpired[i])
+		res.AddExpired(postings[i].h.ID, perExpired[i])
 	}
 	if len(res.Expired) > 0 && res.MakespanHours < m.cfg.AssignmentDurationHours {
 		// Abandoned assignments are only known to be gone once the
@@ -710,6 +638,11 @@ func (m *SimMarket) RunStream(group *hit.Group, deliver func(hitID string, as []
 	res.TotalAssignments = len(res.Assignments)
 	hit.SortAssignments(res.Assignments)
 	return res, nil
+}
+
+// RunAsync implements Marketplace.
+func (m *SimMarket) RunAsync(group *hit.Group) <-chan Async {
+	return GoRun(func() (*RunResult, error) { return m.Run(group) })
 }
 
 // simulateHIT generates one HIT's assignments: worker pickup, answers,
@@ -765,35 +698,4 @@ func (m *SimMarket) simulateHIT(groupID string, p *posting, baseMakespan float64
 		out = append(out, asn)
 	}
 	return out, expired
-}
-
-// RunAll posts several groups concurrently and concatenates results in
-// argument order; a convenience for operators that stage multiple
-// phases. Because each HIT's randomness derives only from (seed, group
-// ID, HIT ID), the concurrent execution is bit-identical to the old
-// sequential loop posting one group at a time.
-func (m *SimMarket) RunAll(groups ...*hit.Group) (*RunResult, error) {
-	if len(groups) == 1 {
-		return m.Run(groups[0])
-	}
-	chans := make([]<-chan Async, len(groups))
-	for i, g := range groups {
-		chans[i] = m.RunAsync(g)
-	}
-	out := &RunResult{}
-	var firstErr error
-	for _, ch := range chans {
-		a := <-ch
-		if a.Err != nil {
-			if firstErr == nil {
-				firstErr = a.Err
-			}
-			continue
-		}
-		out.merge(a.Result)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }

@@ -67,44 +67,6 @@ func TestRunParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun verifies the streaming path delivers exactly
-// the blocking result, once per HIT, serially.
-func TestRunStreamMatchesRun(t *testing.T) {
-	oracle := &pairOracle{difficulty: 0.1, n: 1000}
-	g := buildPairHITs(60, 5)
-	m := NewSimMarket(DefaultConfig(29), oracle)
-	blocking, err := m.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := map[string]int{}
-	inDeliver := false
-	streamed, err := m.RunStream(g, func(hitID string, as []hit.Assignment) {
-		if inDeliver {
-			t.Error("deliver reentered concurrently")
-		}
-		inDeliver = true
-		delivered[hitID] += len(as)
-		inDeliver = false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assignmentsEqual(t, blocking, streamed)
-	perHIT := map[string]int{}
-	for _, a := range blocking.Assignments {
-		perHIT[a.HITID]++
-	}
-	if len(delivered) != len(perHIT) {
-		t.Fatalf("delivered %d HITs, want %d", len(delivered), len(perHIT))
-	}
-	for id, n := range perHIT {
-		if delivered[id] != n {
-			t.Errorf("HIT %s delivered %d assignments, want %d", id, delivered[id], n)
-		}
-	}
-}
-
 // TestRunAsyncMatchesRun verifies the async path returns the blocking
 // result.
 func TestRunAsyncMatchesRun(t *testing.T) {
@@ -120,34 +82,6 @@ func TestRunAsyncMatchesRun(t *testing.T) {
 		t.Fatal(a.Err)
 	}
 	assignmentsEqual(t, blocking, a.Result)
-}
-
-// TestRunAllMatchesSequential verifies the parallel RunAll equals
-// merging one Run per group in argument order.
-func TestRunAllMatchesSequential(t *testing.T) {
-	oracle := &pairOracle{difficulty: 0.1, n: 1000}
-	groups := make([]*hit.Group, 4)
-	for i := range groups {
-		groups[i] = buildPairHITs(25, 5)
-		groups[i].ID = fmt.Sprintf("g%d", i)
-		for _, h := range groups[i].HITs {
-			h.GroupID = groups[i].ID
-		}
-	}
-	m := NewSimMarket(DefaultConfig(37), oracle)
-	want := &RunResult{}
-	for _, g := range groups {
-		r, err := m.Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.merge(r)
-	}
-	got, err := m.RunAll(groups...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assignmentsEqual(t, want, got)
 }
 
 // TestConcurrentRunsAreIndependent hammers one market from many

@@ -12,6 +12,7 @@ import (
 	"qurk/internal/plan"
 	"qurk/internal/query"
 	"qurk/internal/relation"
+	"qurk/internal/task"
 )
 
 // runQuery parses, plans, and runs one query string on e.
@@ -278,6 +279,25 @@ func TestExecOrFilter(t *testing.T) {
 	}
 	if branches != 2 {
 		t.Errorf("OR branches recorded = %d, want 2", branches)
+	}
+}
+
+// TestExecFilterEmptyInputAndInvalidTask: a crowd filter over an empty
+// table returns no rows and posts no HITs, and a filter task that fails
+// validation never reaches the executor, because the library refuses to
+// register it.
+func TestExecFilterEmptyInputAndInvalidTask(t *testing.T) {
+	d, e := celebEngine(t, 5, 7, core.Options{})
+	e.Catalog.Register(relation.New("celeb", d.Celeb.Schema()))
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE NOT isFemale(c.img)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 || stats.TotalHITs() != 0 {
+		t.Errorf("empty input: %d rows, %d HITs; want 0, 0", out.Len(), stats.TotalHITs())
+	}
+	if err := e.Library.Register(&task.Filter{Prompt: task.MustPrompt("x")}); err == nil {
+		t.Error("unnamed filter task registered")
 	}
 }
 

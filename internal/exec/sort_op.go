@@ -314,12 +314,7 @@ func (o *crowdOrderByOp) replanGroup(sub *relation.Relation, path string) (plan.
 	if s < 2 {
 		s = 2
 	}
-	// Exact cover size where the enumeration is cheap; the analytic
-	// approximation beyond that (matching the optimizer's own split).
-	compareHITs := cost.CompareSortHITs(n, s)
-	if n <= 120 {
-		compareHITs = len(sortop.CoverGroups(n, s, nil))
-	}
+	compareHITs := plan.CompareCoverHITs(n, s)
 	rateBatch := phys.RateBatch
 	if rateBatch <= 0 {
 		rateBatch = sortop.DefaultRateBatch

@@ -145,10 +145,10 @@ func FromOptions(o core.MTurkOptions) Config {
 }
 
 // Client posts HIT groups to a live MTurk-compatible endpoint. It
-// implements crowd.Marketplace and crowd.StreamMarketplace and is safe
-// for concurrent Run/RunAsync/RunStream calls — the streaming executor
-// posts overlapping chunks from several operator goroutines, and each
-// call keeps all its state on its own stack.
+// implements crowd.Marketplace and is safe for concurrent Run/RunAsync
+// calls — the streaming executor posts overlapping chunks from several
+// operator goroutines, and each call keeps all its state on its own
+// stack.
 type Client struct {
 	cfg   Config
 	creds credentials
@@ -181,11 +181,6 @@ func New(cfg Config) (*Client, error) {
 // Endpoint reports the endpoint the client posts to.
 func (c *Client) Endpoint() string { return c.cfg.Endpoint }
 
-// Run implements crowd.Marketplace.
-func (c *Client) Run(group *hit.Group) (*crowd.RunResult, error) {
-	return c.RunStream(group, nil)
-}
-
 // RunAsync implements crowd.Marketplace.
 func (c *Client) RunAsync(group *hit.Group) <-chan crowd.Async {
 	return crowd.GoRun(func() (*crowd.RunResult, error) { return c.Run(group) })
@@ -201,12 +196,11 @@ type pendingHIT struct {
 	done     bool
 }
 
-// RunStream implements crowd.StreamMarketplace: it posts every HIT in
-// the group, polls assignments back, and calls deliver (serially) as
-// each HIT completes or expires. The returned result's clock —
-// SubmitHours and MakespanHours — is hours since the group was posted,
-// the same frame the simulator reports.
-func (c *Client) RunStream(group *hit.Group, deliver func(hitID string, as []hit.Assignment)) (*crowd.RunResult, error) {
+// Run implements crowd.Marketplace: it posts every HIT in the group and
+// polls assignments back until each HIT completes or expires. The
+// returned result's clock — SubmitHours and MakespanHours — is hours
+// since the group was posted, the same frame the simulator reports.
+func (c *Client) Run(group *hit.Group) (*crowd.RunResult, error) {
 	res := &crowd.RunResult{}
 	if group == nil || len(group.HITs) == 0 {
 		return res, nil
@@ -247,7 +241,7 @@ func (c *Client) RunStream(group *hit.Group, deliver func(hitID string, as []hit
 					return nil, err
 				}
 				if expired > 0 {
-					res.Expired = mergeExpired(res.Expired, p.h.ID, expired)
+					res.AddExpired(p.h.ID, expired)
 					detect := c.cfg.Clock.Now().Sub(start).Hours()
 					if detect > res.MakespanHours {
 						res.MakespanHours = detect
@@ -259,9 +253,6 @@ func (c *Client) RunStream(group *hit.Group, deliver func(hitID string, as []hit
 			if p.done {
 				progress = true
 				remaining--
-				if deliver != nil && len(p.got) > 0 {
-					deliver(p.h.ID, append([]hit.Assignment(nil), p.got...))
-				}
 			}
 		}
 		if remaining > 0 {
@@ -309,17 +300,6 @@ func (c *Client) RunStream(group *hit.Group, deliver func(hitID string, as []hit
 	res.TotalAssignments = len(res.Assignments)
 	hit.SortAssignments(res.Assignments)
 	return res, nil
-}
-
-func mergeExpired(m map[string]int, hitID string, n int) map[string]int {
-	if n <= 0 {
-		return m
-	}
-	if m == nil {
-		m = map[string]int{}
-	}
-	m[hitID] += n
-	return m
 }
 
 // createHIT renders and posts one HIT; the engine HIT ID rides along as

@@ -225,30 +225,6 @@ func TestClientIdempotentRepost(t *testing.T) {
 	}
 }
 
-// TestClientStreamDelivery: RunStream delivers per completed HIT,
-// serially, with the same union of assignments Run returns.
-func TestClientStreamDelivery(t *testing.T) {
-	_, c, _ := newFixture(t, FakeConfig{})
-	group := filterGroup(5, 2)
-	delivered := map[string]int{}
-	res, err := c.RunStream(group, func(hitID string, as []hit.Assignment) {
-		delivered[hitID] += len(as)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delivered) != 5 {
-		t.Errorf("delivered %d HITs, want 5", len(delivered))
-	}
-	total := 0
-	for _, n := range delivered {
-		total += n
-	}
-	if total != res.TotalAssignments {
-		t.Errorf("delivered %d assignments, result has %d", total, res.TotalAssignments)
-	}
-}
-
 // TestClientRejectsBadCredentials: a wrong secret is refused by the
 // fake's signature verification and surfaces as a RequestError.
 func TestClientRejectsBadCredentials(t *testing.T) {

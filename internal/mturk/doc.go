@@ -1,9 +1,9 @@
-// Package mturk is the live crowd backend: a crowd.Marketplace (and
-// crowd.StreamMarketplace) implementation that speaks the Amazon
-// Mechanical Turk Requester REST API, so the same declarative queries
-// that run against the deterministic simulator post real HITs to real
-// workers — the platform independence the paper's architecture promises
-// (§1, §2.5: operators "compile into HITs posted to Mechanical Turk").
+// Package mturk is the live crowd backend: a crowd.Marketplace
+// implementation that speaks the Amazon Mechanical Turk Requester REST
+// API, so the same declarative queries that run against the
+// deterministic simulator post real HITs to real workers — the platform
+// independence the paper's architecture promises (§1, §2.5: operators
+// "compile into HITs posted to Mechanical Turk").
 //
 // The client renders each hit.Group into HTMLQuestion XML, posts one
 // marketplace HIT per hit.HIT via CreateHIT, polls submissions back
@@ -14,7 +14,8 @@
 // library. Any compatible endpoint works: the production marketplace,
 // the requester sandbox (the default), or the in-process FakeServer
 // this package ships for recorded-HTTP tests that never touch the
-// network.
+// network. Client.Run is the one posting body: it blocks while it polls,
+// and RunAsync is crowd.GoRun over it.
 //
 // # Timeout policy
 //

@@ -611,7 +611,7 @@ func (o *optimizer) visitSort(t *CrowdOrderBy, in int) {
 		return
 	}
 	s := opt.CompareGroupSize
-	compareHITs := groups * compareCoverHITs(gsize, s)
+	compareHITs := groups * CompareCoverHITs(gsize, s)
 	if gsize > exactCoverLimit {
 		o.note("%s: comparison cover approximated analytically for %d rows", t.Label(), gsize)
 	}
@@ -659,12 +659,13 @@ func (o *optimizer) visitSort(t *CrowdOrderBy, in int) {
 // estimate on large inputs; beyond it the §4.1.1 closed form stands in.
 const exactCoverLimit = 120
 
-// compareCoverHITs is the comparison sort's HIT estimate: the exact
-// greedy cover the executor will build for small inputs, the paper's
-// n(n−1)/(S(S−1)) bound beyond exactCoverLimit.
-func compareCoverHITs(n, s int) int {
+// CompareCoverHITs is the comparison sort's HIT count for n items in
+// groups of s: the exact greedy cover the executor will build for small
+// inputs, the paper's n(n−1)/(S(S−1)) bound beyond exactCoverLimit. The
+// optimizer and the executor's mid-run replan both use it.
+func CompareCoverHITs(n, s int) int {
 	if n <= exactCoverLimit {
-		return len(sortop.CoverGroups(n, s, nil))
+		return len(sortop.CoverGroups(n, s))
 	}
 	return cost.CompareSortHITs(n, s)
 }

@@ -40,7 +40,7 @@ func sortAltEstimates(n int, opt OptimizeOptions) (hits []int, quals []float64) 
 	if n < 2 {
 		return nil, nil
 	}
-	hits = append(hits, compareCoverHITs(n, opt.CompareGroupSize))
+	hits = append(hits, CompareCoverHITs(n, opt.CompareGroupSize))
 	quals = append(quals, cost.QualityCompareSort)
 	hits = append(hits, cost.RateSortHITs(n, opt.RateBatch))
 	quals = append(quals, cost.QualityRateSort)

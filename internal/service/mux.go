@@ -59,25 +59,23 @@ func (m *Mux) dispatch() {
 	}
 }
 
-// Run posts one group through the loop and blocks for its outcome.
-func (m *Mux) Run(group *hit.Group) (*crowd.RunResult, error) {
-	a := <-m.RunAsync(group)
-	return a.Result, a.Err
-}
-
-// RunAsync posts one group through the loop without blocking.
+// RunAsync posts one group through the loop without blocking; the loop
+// has taken the group, fixing its place in the post order, before
+// RunAsync returns.
 func (m *Mux) RunAsync(group *hit.Group) <-chan crowd.Async {
 	out := make(chan crowd.Async, 1)
 	select {
-	case m.reqs <- out2req(group, out):
+	case m.reqs <- muxReq{group: group, out: out}:
 	case <-m.done:
 		out <- crowd.Async{Err: errMuxClosed}
 	}
 	return out
 }
 
-func out2req(group *hit.Group, out chan crowd.Async) muxReq {
-	return muxReq{group: group, out: out}
+// Run implements crowd.Marketplace by waiting on RunAsync.
+func (m *Mux) Run(group *hit.Group) (*crowd.RunResult, error) {
+	a := <-m.RunAsync(group)
+	return a.Result, a.Err
 }
 
 var errMuxClosed = errString("service: marketplace mux is closed")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"qurk/internal/dataset"
 	"qurk/internal/hit"
 	"qurk/internal/relation"
+	"qurk/internal/wal"
 )
 
 const isFemaleQuery = `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
@@ -237,6 +239,48 @@ func TestMidRunCutoff(t *testing.T) {
 		t.Fatalf("RunAsync err = %v, want ErrBudgetExceeded", a.Err)
 	}
 }
+
+// TestBudgetGateChargesBeforeReturn: RunAsync returns with the tenant
+// already charged and the charge record durable, while the inner post
+// never completes — the order the exactly-once ledger relies on.
+func TestBudgetGateChargesBeforeReturn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.qjl")
+	j, err := wal.Create(path, wal.Meta{Query: isFemaleQuery, Backend: "sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tenant := &Tenant{ID: "t", BudgetDollars: 1, Ledger: cost.NewLedger()}
+	stuck := make(chan crowd.Async) // never sent on
+	gate := &BudgetGate{Tenant: tenant, Label: "q1", Inner: stuckMarket(stuck), Journal: j}
+	group := &hit.Group{ID: "g1", HITs: []*hit.HIT{{ID: "h1", Assignments: 3}, {ID: "h2", Assignments: 3}}}
+
+	select {
+	case a := <-gate.RunAsync(group):
+		t.Fatalf("RunAsync completed before its inner post: %+v", a)
+	default:
+	}
+	if got, want := tenant.SpentDollars(), cost.Dollars(2, 3); got != want {
+		t.Errorf("spent $%.3f when RunAsync returned, want $%.3f", got, want)
+	}
+	r, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Charges(); len(got) != 1 || got[0].HITs != 2 {
+		t.Errorf("journaled charges = %+v, want one 2-HIT charge", got)
+	}
+}
+
+// stuckMarket hands every group to a channel the test controls.
+type stuckMarket chan crowd.Async
+
+func (m stuckMarket) Run(g *hit.Group) (*crowd.RunResult, error) {
+	a := <-m.RunAsync(g)
+	return a.Result, a.Err
+}
+func (m stuckMarket) RunAsync(*hit.Group) <-chan crowd.Async { return m }
 
 // nopMarket accepts every group and returns an empty result.
 type nopMarket struct{}

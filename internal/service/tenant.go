@@ -187,16 +187,9 @@ func (g *BudgetGate) chargeOnce(group *hit.Group) error {
 	return nil
 }
 
-// Run charges the group, then posts it synchronously.
-func (g *BudgetGate) Run(group *hit.Group) (*crowd.RunResult, error) {
-	if err := g.chargeOnce(group); err != nil {
-		return nil, err
-	}
-	return g.Inner.Run(group)
-}
-
-// RunAsync charges the group, then posts it without blocking; a budget
-// rejection is delivered on the returned channel.
+// RunAsync charges the group, then posts it without blocking; the
+// charge commits before RunAsync returns, and a budget rejection is
+// delivered on the returned channel.
 func (g *BudgetGate) RunAsync(group *hit.Group) <-chan crowd.Async {
 	if err := g.chargeOnce(group); err != nil {
 		ch := make(chan crowd.Async, 1)
@@ -204,4 +197,10 @@ func (g *BudgetGate) RunAsync(group *hit.Group) <-chan crowd.Async {
 		return ch
 	}
 	return g.Inner.RunAsync(group)
+}
+
+// Run implements crowd.Marketplace by waiting on RunAsync.
+func (g *BudgetGate) Run(group *hit.Group) (*crowd.RunResult, error) {
+	a := <-g.RunAsync(group)
+	return a.Result, a.Err
 }

@@ -7,7 +7,6 @@ package sortop
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"qurk/internal/crowd"
@@ -28,8 +27,6 @@ type CompareOptions struct {
 	Assignments int
 	// GroupID labels the HIT group.
 	GroupID string
-	// Seed drives group-cover generation.
-	Seed int64
 }
 
 func (o *CompareOptions) fillDefaults() {
@@ -64,9 +61,6 @@ type CompareResult struct {
 	WinFraction []float64
 	// Pairs maps [2]int{i,j} (i<j) to direction tallies.
 	Pairs map[[2]int]*PairVotes
-	// CycleCount is the number of directed triangles among majority
-	// edges — the non-transitivity the paper warns about (§4.1.1).
-	CycleCount int
 	// HITCount is HITs posted; AssignmentCount total assignments.
 	HITCount, AssignmentCount int
 	// MakespanHours is the wall-clock completion estimate.
@@ -81,10 +75,8 @@ type CompareResult struct {
 // pair appears in at least one group, greedily maximizing fresh pairs
 // per group (the paper's batch generator "may generate overlapping
 // groups", §4.2.2). The group count approaches n(n−1)/(s(s−1)).
-// Generation is fully deterministic; the rng parameter is reserved for
-// future randomized covers and is currently unused.
-func CoverGroups(n, s int, rng *rand.Rand) [][]int {
-	_ = rng
+// Generation is fully deterministic.
+func CoverGroups(n, s int) [][]int {
 	if s >= n {
 		g := make([]int, n)
 		for i := range g {
@@ -183,8 +175,7 @@ func BuildCompare(items *relation.Relation, rt *task.Rank, opts CompareOptions) 
 	if n < 2 {
 		return nil, nil, fmt.Errorf("sortop: need ≥2 items to sort, got %d", n)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	groups := CoverGroups(n, opts.GroupSize, rng)
+	groups := CoverGroups(n, opts.GroupSize)
 	questions := make([]hit.Question, len(groups))
 	for gi, g := range groups {
 		q := hit.Question{
@@ -247,30 +238,13 @@ func Compare(items *relation.Relation, rt *task.Rank, opts CompareOptions, marke
 	if err != nil {
 		return nil, err
 	}
-	qByHIT := make(map[string]*hit.HIT, len(hits))
-	for _, h := range hits {
-		qByHIT[h.ID] = h
-	}
-	// Votes tally as each comparison batch completes, overlapping
-	// aggregation with HITs still in flight (the marketplace calls
-	// deliver serially).
-	run, err := crowd.Stream(market, &hit.Group{ID: opts.GroupID, HITs: hits}, func(hitID string, as []hit.Assignment) {
-		h := qByHIT[hitID]
-		if h == nil {
-			return
-		}
-		for _, a := range as {
-			for i, ans := range a.Answers {
-				if i >= len(h.Questions) {
-					break
-				}
-				tally.Add(h.Questions[i].ID, ans)
-			}
-		}
-	})
+	run, err := market.Run(&hit.Group{ID: opts.GroupID, HITs: hits})
 	if err != nil {
 		return nil, err
 	}
+	hit.ForEachAnswer(hits, run.Assignments, func(q *hit.Question, _ string, ans hit.Answer) {
+		tally.Add(q.ID, ans)
+	})
 	res := tally.Result()
 	res.HITCount = len(hits)
 	res.AssignmentCount = run.TotalAssignments
@@ -294,7 +268,7 @@ func (r *CompareResult) addVote(winner, loser int) {
 	}
 }
 
-// finalize computes the head-to-head order and cycle count. The primary
+// finalize computes the head-to-head order. The primary
 // score is Copeland-style: the fraction of contested opponents an item
 // beats by per-pair majority ("the number of HITs in which each item was
 // ranked higher than other items", §4.1.1). With full pair coverage and
@@ -348,13 +322,14 @@ func (r *CompareResult) finalize(n int) {
 		}
 		return r.WinFraction[x] < r.WinFraction[y]
 	})
-	r.CycleCount = r.countCycles(n)
 }
 
-// countCycles counts directed triangles in the pairwise-majority graph —
-// evidence of the non-transitivity that rules out Quicksort-style
-// algorithms (paper §4.1.1).
-func (r *CompareResult) countCycles(n int) int {
+// Cycles counts directed triangles among the pairwise-majority edges —
+// the non-transitivity the paper warns about, which rules out
+// Quicksort-style algorithms (§4.1.1). It is O(n³) in the item count,
+// so it runs only when asked.
+func (r *CompareResult) Cycles() int {
+	n := len(r.Order)
 	beats := func(a, b int) bool {
 		k := pairKey(a, b)
 		pv := r.Pairs[k]

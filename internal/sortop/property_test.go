@@ -15,7 +15,7 @@ func TestCoverGroupsProperty(t *testing.T) {
 	prop := func(_ uint8) bool {
 		n := 2 + rng.Intn(30)
 		s := 2 + rng.Intn(8)
-		groups := CoverGroups(n, s, rng)
+		groups := CoverGroups(n, s)
 		covered := map[[2]int]bool{}
 		for _, g := range groups {
 			if s < n && len(g) > s {
@@ -101,7 +101,7 @@ func TestComparePermutationProperty(t *testing.T) {
 		n := 8 + int(seed)*4
 		o := &sqOracle{n: n, sigma: 0.3}
 		m := crowd.NewSimMarket(crowd.DefaultConfig(seed), o)
-		res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5, Seed: seed}, m)
+		res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5}, m)
 		if err != nil {
 			t.Fatal(err)
 		}

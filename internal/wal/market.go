@@ -17,10 +17,8 @@ import (
 // idempotently (MTurk re-attaches to live HITs by UniqueRequestToken,
 // the simulator re-derives the same deterministic answers).
 //
-// Market implements both crowd.Marketplace and crowd.StreamMarketplace
-// so every posting path in the executor — the chunked poster's async
-// chunks, the blocking sort/join phases, and the streaming extraction
-// deliveries — flows through the journal.
+// RunAsync holds the one journaling body and Run waits on it, so a group
+// posted either way leaves the same records.
 type Market struct {
 	inner crowd.Marketplace
 	j     *Journal
@@ -75,29 +73,11 @@ func hitIDs(g *hit.Group) []string {
 	return ids
 }
 
-// Run implements crowd.Marketplace: replay if journaled, otherwise
-// intent → post → result.
-func (m *Market) Run(g *hit.Group) (*crowd.RunResult, error) {
-	key := GroupKey(g)
-	if res := m.j.Replay(key); res != nil {
-		return res, nil
-	}
-	if err := m.j.LogIntent(key, g.ID, hitIDs(g)); err != nil {
-		return nil, err
-	}
-	res, err := m.inner.Run(g)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.j.LogResult(key, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunAsync implements crowd.Marketplace. The intent record commits
-// synchronously, before the inner post is even issued, so a crash
-// between the two leaves a pending intent the resume path re-posts.
+// RunAsync implements crowd.Marketplace and is the one journaling
+// body: replay if journaled, otherwise intent → post → result. The
+// intent record commits synchronously, before the inner post is even
+// issued, so a crash between the two leaves a pending intent the resume
+// path re-posts.
 func (m *Market) RunAsync(g *hit.Group) <-chan crowd.Async {
 	key := GroupKey(g)
 	ch := make(chan crowd.Async, 1)
@@ -122,41 +102,10 @@ func (m *Market) RunAsync(g *hit.Group) <-chan crowd.Async {
 	return ch
 }
 
-// RunStream implements crowd.StreamMarketplace. Live runs stream
-// through the inner marketplace and journal the folded result at the
-// end — a crash mid-stream leaves no result record, so the whole group
-// re-posts on resume (delivery is idempotent; results are deterministic
-// per HIT). Replayed runs re-deliver per HIT from the journaled
-// result, grouped exactly like crowd.Stream's blocking fallback.
-func (m *Market) RunStream(g *hit.Group, deliver func(hitID string, as []hit.Assignment)) (*crowd.RunResult, error) {
-	key := GroupKey(g)
-	if res := m.j.Replay(key); res != nil {
-		if deliver != nil {
-			byHIT := map[string][]hit.Assignment{}
-			var order []string
-			for _, a := range res.Assignments {
-				if _, seen := byHIT[a.HITID]; !seen {
-					order = append(order, a.HITID)
-				}
-				byHIT[a.HITID] = append(byHIT[a.HITID], a)
-			}
-			for _, id := range order {
-				deliver(id, byHIT[id])
-			}
-		}
-		return res, nil
-	}
-	if err := m.j.LogIntent(key, g.ID, hitIDs(g)); err != nil {
-		return nil, err
-	}
-	res, err := crowd.Stream(m.inner, g, deliver)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.j.LogResult(key, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+// Run implements crowd.Marketplace by waiting on RunAsync.
+func (m *Market) Run(g *hit.Group) (*crowd.RunResult, error) {
+	a := <-m.RunAsync(g)
+	return a.Result, a.Err
 }
 
 // Checkpoint forwards breaker checkpoints to the journal; operators

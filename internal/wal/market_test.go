@@ -2,8 +2,7 @@ package wal
 
 // Market wrapper tests: the journal boundary around a marketplace —
 // intent-before-post ordering, result replay without touching the
-// inner backend, per-HIT re-delivery on streamed replays, and
-// checkpoint forwarding.
+// inner backend, and checkpoint forwarding.
 
 import (
 	"errors"
@@ -191,42 +190,6 @@ func TestMarketRunAsyncJournals(t *testing.T) {
 	}
 }
 
-func TestMarketRunStreamReplaysPerHIT(t *testing.T) {
-	path := tempJournal(t)
-	j := mustCreate(t, path)
-	inner := &fakeInner{}
-	m := NewMarket(inner, j)
-	liveOrder := []string{}
-	if _, err := m.RunStream(sampleGroup("filter@q.g0"), func(hitID string, as []hit.Assignment) {
-		liveOrder = append(liveOrder, fmt.Sprintf("%s:%d", hitID, len(as)))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	replayOrder := []string{}
-	res, err := NewMarket(inner, r).RunStream(sampleGroup("filter@q.g0"), func(hitID string, as []hit.Assignment) {
-		replayOrder = append(replayOrder, fmt.Sprintf("%s:%d", hitID, len(as)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inner.posts != 1 {
-		t.Errorf("stream replay touched the inner marketplace (%d posts)", inner.posts)
-	}
-	if res.TotalAssignments != 4 {
-		t.Errorf("stream replay folded %d assignments, want 4", res.TotalAssignments)
-	}
-	if fmt.Sprint(replayOrder) != fmt.Sprint(liveOrder) {
-		t.Errorf("replay delivery %v differs from live delivery %v", replayOrder, liveOrder)
-	}
-}
-
 func TestMarketCheckpointForwards(t *testing.T) {
 	path := tempJournal(t)
 	j := mustCreate(t, path)
@@ -242,5 +205,46 @@ func TestMarketCheckpointForwards(t *testing.T) {
 	defer r.Close()
 	if err := r.Checkpoint("adaptive-round", "g/s0/r1", 0xbeef, 0); err != nil {
 		t.Errorf("forwarded checkpoint did not verify: %v", err)
+	}
+}
+
+// stuckInner is an inner marketplace whose posts complete only when the
+// test sends their outcome on release.
+type stuckInner struct{ release chan crowd.Async }
+
+func (s stuckInner) Run(g *hit.Group) (*crowd.RunResult, error) {
+	a := <-s.RunAsync(g)
+	return a.Result, a.Err
+}
+
+func (s stuckInner) RunAsync(*hit.Group) <-chan crowd.Async { return s.release }
+
+// TestMarketRunAsyncIntentDurableOnReturn: RunAsync returns with the
+// intent already on disk while the inner post is still outstanding, so
+// a crash at any point after the call leaves a pending intent for the
+// resume path to re-post.
+func TestMarketRunAsyncIntentDurableOnReturn(t *testing.T) {
+	path := tempJournal(t)
+	j := mustCreate(t, path)
+	inner := stuckInner{release: make(chan crowd.Async, 1)}
+	ch := NewMarket(inner, j).RunAsync(sampleGroup("filter@q.g0"))
+	t.Cleanup(func() {
+		inner.release <- crowd.Async{Err: errors.New("released")}
+		<-ch
+		j.Close()
+	})
+	select {
+	case a := <-ch:
+		t.Fatalf("RunAsync completed before its inner post: %+v", a)
+	default:
+	}
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.PendingIntents(); got != 1 {
+		t.Errorf("PendingIntents = %d, want 1", got)
 	}
 }

@@ -122,10 +122,6 @@ var (
 type (
 	// Marketplace abstracts the crowd backend (sync + async posting).
 	Marketplace = crowd.Marketplace
-	// StreamMarketplace additionally delivers per-HIT results as they
-	// complete, so callers can overlap vote aggregation with HITs
-	// still in flight.
-	StreamMarketplace = crowd.StreamMarketplace
 	// MarketAsync is the outcome RunAsync delivers.
 	MarketAsync = crowd.Async
 	// SimMarket is the parallel deterministic marketplace simulator.
@@ -147,17 +143,14 @@ var (
 	NewSimMarket = crowd.NewSimMarket
 	// DefaultMarketConfig returns the calibrated simulator defaults.
 	DefaultMarketConfig = crowd.DefaultConfig
-	// StreamRun posts a group and feeds per-HIT results to a callback
-	// as they complete, on any Marketplace.
-	StreamRun = crowd.Stream
 )
 
 // --- Live MTurk backend (internal/mturk) ---
 
 type (
 	// MTurkClient posts HIT groups to a live MTurk-compatible REST
-	// endpoint; it implements Marketplace and StreamMarketplace, so an
-	// engine built over it runs the same queries as over SimMarket.
+	// endpoint; it implements Marketplace, so an engine built over it
+	// runs the same queries as over SimMarket.
 	MTurkClient = mturk.Client
 	// MTurkConfig parametrizes the live client (endpoint, credentials,
 	// poll interval, assignment deadline).
@@ -347,8 +340,6 @@ type (
 	HybridResult = sortop.HybridResult
 	// WindowStrategy selects the hybrid window scheme.
 	WindowStrategy = sortop.WindowStrategy
-	// FilterOptions configures a crowd filter pass.
-	FilterOptions = core.FilterOptions
 	// Combiner merges multiple worker votes.
 	Combiner = combine.Combiner
 	// MajorityVote is the paper's default combiner.
