@@ -315,12 +315,14 @@ func (c *Client) runJournaled(ctx context.Context, src string, j *wal.Journal, s
 	return out, st, nil
 }
 
-// run parses and plans src against e's task library, then executes it.
+// run parses and plans src against e's task library, pins the
+// engine's options into the plan, then executes it.
 func run(ctx context.Context, e *Engine, src string, sink StreamSink) (*Relation, *ExecStats, error) {
 	root, err := plan.BuildQuery(src, e.Library)
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.Pin(root, e.Options)
 	return exec.Run(ctx, e, root, sink)
 }
 

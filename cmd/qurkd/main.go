@@ -7,8 +7,9 @@
 // keyed by question content, so a later query that asks the same
 // thing (same task, same tuples — from any tenant) is served from the
 // store and posts nothing. Tenants carry dollar budgets enforced at
-// admission (optimizer estimate must fit) and at every posted HIT
-// group (mid-run cutoff). See docs/SERVICE.md for the API.
+// admission (the estimate of the plan the query runs must fit) and at
+// every posted HIT group (mid-run cutoff). See docs/SERVICE.md for the
+// API.
 //
 // Usage:
 //
@@ -55,7 +56,7 @@ func main() {
 		assignments = flag.Int("assignments", 5, "default workers per HIT")
 		combiner    = flag.String("combiner", "MajorityVote", "default vote combiner: MajorityVote or QualityAdjust")
 		storePath   = flag.String("store", "", "answer-store file (empty = in-memory, still shared across queries)")
-		statsPath   = flag.String("stats-store", "", "observed-statistics store file shared by all tenants: runs feed measured selectivities/pass fractions/group sizes, and every admission-time plan is seeded from that history (empty = off)")
+		statsPath   = flag.String("stats-store", "", "observed-statistics store file shared by all tenants: runs feed measured selectivities/pass fractions/group sizes, and every admission-time estimate is seeded from that history (empty = off)")
 		storeAgree  = flag.Int("store-min-agreement", 0, "serve stored answers only at or above this vote count")
 		storeMaxAge = flag.Duration("store-max-age", 0, "serve stored answers only younger than this (0 = forever)")
 		defBudget   = flag.Float64("default-budget", 0, "budget in dollars for tenants not named by -tenant (0 = unlimited)")

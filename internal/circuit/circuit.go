@@ -140,8 +140,9 @@ func (b *Breaker) Run(group *hit.Group) (*crowd.RunResult, error) {
 }
 
 // RunAsync posts one group without blocking the caller; the breaker's
-// park-and-retry happens on the spawned goroutine so a dispatch loop
-// above (e.g. the service mux) never stalls on an open circuit.
+// park-and-retry happens on the spawned goroutine so a caller (e.g. a
+// query's poster, through the service mux) never stalls on an open
+// circuit.
 func (b *Breaker) RunAsync(group *hit.Group) <-chan crowd.Async {
 	return crowd.GoRun(func() (*crowd.RunResult, error) { return b.Run(group) })
 }

@@ -131,7 +131,8 @@ type Options struct {
 	// FilterBatch / GenerativeBatch / JoinBatch / ExtractBatch /
 	// RateBatch are merge batch sizes (defaults 5, 5, 5, 4, 5).
 	FilterBatch, GenerativeBatch, JoinBatch, ExtractBatch, RateBatch int
-	// JoinAlgorithm with its grid shape (default Naive 5).
+	// JoinAlgorithm with its grid shape (default Simple, the zero
+	// value; grid 3×3).
 	JoinAlgorithm      join.Algorithm
 	GridRows, GridCols int
 	// ExtractCombined asks all POSSIBLY features in one interface
@@ -299,7 +300,10 @@ type MTurkOptions struct {
 	SkipApprove bool
 }
 
-func (o *Options) fillDefaults() {
+// FillDefaults replaces zero (and, for the scheduling knobs,
+// non-positive) fields with their defaults. NewEngine runs it, and the
+// planner prices and pins plans with the same table.
+func (o *Options) FillDefaults() {
 	if o.Assignments == 0 {
 		o.Assignments = 5
 	}
@@ -441,7 +445,7 @@ type Engine struct {
 
 // NewEngine builds an engine with a fresh catalog, library and ledger.
 func NewEngine(market crowd.Marketplace, opts Options) *Engine {
-	opts.fillDefaults()
+	opts.FillDefaults()
 	return &Engine{
 		Catalog: relation.NewCatalog(),
 		Library: NewLibrary(),

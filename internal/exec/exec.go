@@ -179,6 +179,10 @@ type Sink func(tuples []relation.Tuple, ready float64) error
 // forward rows while crowd work is still in flight; the fully
 // materialized relation is still returned at the end.
 //
+// Every crowd node must carry its physical annotation: plan.Pin writes
+// the engine Options' choices, plan.Optimize the optimizer's. Run and
+// Compile fail with an error naming a crowd node that has none.
+//
 // When ctx is done, every operator stops posting HITs and the pipeline
 // unwinds: all crowd work, pipeline breakers included, posts through
 // the chunked poster, whose collection waits on ctx. Chunks already on
@@ -285,10 +289,13 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch, asn := batchPhys(n.Phys, opts.FilterBatch, opts.Assignments)
+		bp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
 		return x.buildFilter(child, n.Label(), path,
 			[]*filterSpec{{ft: n.Task, negate: n.Negate, groupID: x.groupID("filter/"+n.Task.Name, path), label: n.Label()}},
-			batch, asn)
+			bp.Batch, bp.Assignments)
 
 	case *plan.CrowdFilterOr:
 		child, err := x.build(n.Input, path+".i")
@@ -312,17 +319,23 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 				firstOf[sig] = i
 			}
 		}
-		batch, asn := batchPhys(n.Phys, opts.FilterBatch, opts.Assignments)
-		return x.buildFilter(child, n.Label(), path, specs, batch, asn)
+		bp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
+		return x.buildFilter(child, n.Label(), path, specs, bp.Batch, bp.Assignments)
 
 	case *plan.UnaryPossibly:
 		child, err := x.build(n.Input, path+".i")
 		if err != nil {
 			return nil, err
 		}
-		batch, asn := batchPhys(n.Phys, opts.ExtractBatch, opts.Assignments)
+		bp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
 		g, err := x.buildGenerative(child, n.Label(), x.groupID("possibly/"+n.Task.Name, path),
-			n.Task, []string{n.Field}, batch, asn)
+			n.Task, []string{n.Field}, bp.Batch, bp.Assignments)
 		if err != nil {
 			return nil, err
 		}
@@ -334,9 +347,12 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch, asn := batchPhys(n.Phys, opts.GenerativeBatch, opts.Assignments)
+		bp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
 		g, err := x.buildGenerative(child, n.Label(), x.groupID("generate/"+n.Task.Name, path),
-			n.Task, n.Fields, batch, asn)
+			n.Task, n.Fields, bp.Batch, bp.Assignments)
 		if err != nil {
 			return nil, err
 		}
@@ -372,8 +388,11 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		jp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
 		groupID := x.groupID("join/"+n.Task.Name, path)
-		jp := joinPhysOf(n, opts)
 		j := &crowdJoinOp{
 			x:    x,
 			node: n,
@@ -407,7 +426,11 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &crowdOrderByOp{x: x, node: n, phys: sortPhysOf(n, opts), path: path, child: child, size: opts.ExecBatch}, nil
+		sp, err := physOf(n, n.Phys)
+		if err != nil {
+			return nil, err
+		}
+		return &crowdOrderByOp{x: x, node: n, phys: sp, path: path, child: child, size: opts.ExecBatch}, nil
 
 	case *plan.MachineOrderBy:
 		child, err := x.build(n.Input, path+".i")
@@ -462,83 +485,15 @@ type filterSpec struct {
 	dupOf   int
 }
 
-// batchPhys resolves an operator's batching annotation against the
-// engine defaults (nil or zero fields fall back).
-func batchPhys(p *plan.BatchPhys, batch, assignments int) (int, int) {
-	if p != nil {
-		if p.Batch > 0 {
-			batch = p.Batch
-		}
-		if p.Assignments > 0 {
-			assignments = p.Assignments
-		}
+// physOf returns a crowd node's physical annotation, or an error
+// naming the node when it has none: the executor runs exactly the
+// interfaces the plan carries (see plan.Pin and plan.Optimize).
+func physOf[P any](n plan.Node, p *P) (P, error) {
+	if p == nil {
+		var zero P
+		return zero, fmt.Errorf("exec: %s has no physical annotation (pin or optimize the plan first)", n.Label())
 	}
-	return batch, assignments
-}
-
-// joinPhysOf resolves a join's physical choice: the optimizer's
-// annotation when present, else the engine-wide Options (which apply
-// POSSIBLY features whenever the node has them — the pre-optimizer
-// behavior).
-func joinPhysOf(n *plan.CrowdJoin, opts *core.Options) plan.JoinPhys {
-	p := plan.JoinPhys{
-		Algorithm:   opts.JoinAlgorithm,
-		BatchSize:   opts.JoinBatch,
-		GridRows:    opts.GridRows,
-		GridCols:    opts.GridCols,
-		UseFeatures: true,
-		Assignments: opts.Assignments,
-	}
-	if n.Phys != nil {
-		p.Algorithm = n.Phys.Algorithm
-		p.UseFeatures = n.Phys.UseFeatures
-		if n.Phys.BatchSize > 0 {
-			p.BatchSize = n.Phys.BatchSize
-		}
-		if n.Phys.GridRows > 0 {
-			p.GridRows = n.Phys.GridRows
-		}
-		if n.Phys.GridCols > 0 {
-			p.GridCols = n.Phys.GridCols
-		}
-		if n.Phys.Assignments > 0 {
-			p.Assignments = n.Phys.Assignments
-		}
-	}
-	return p
-}
-
-// sortPhysOf resolves a sort's physical choice the same way.
-func sortPhysOf(n *plan.CrowdOrderBy, opts *core.Options) plan.SortPhys {
-	p := plan.SortPhys{
-		Method:      opts.SortMethod,
-		GroupSize:   opts.CompareGroupSize,
-		RateBatch:   opts.RateBatch,
-		Iterations:  opts.HybridIterations,
-		Step:        opts.HybridStep,
-		Strategy:    sortop.SlidingWindow,
-		Assignments: opts.Assignments,
-	}
-	if n.Phys != nil {
-		p.Method = n.Phys.Method
-		p.Strategy = n.Phys.Strategy
-		if n.Phys.GroupSize > 0 {
-			p.GroupSize = n.Phys.GroupSize
-		}
-		if n.Phys.RateBatch > 0 {
-			p.RateBatch = n.Phys.RateBatch
-		}
-		if n.Phys.Iterations > 0 {
-			p.Iterations = n.Phys.Iterations
-		}
-		if n.Phys.Step > 0 {
-			p.Step = n.Phys.Step
-		}
-		if n.Phys.Assignments > 0 {
-			p.Assignments = n.Phys.Assignments
-		}
-	}
-	return p
+	return *p, nil
 }
 
 // newPoster builds a chunk poster over the engine's marketplace,
@@ -700,7 +655,7 @@ func perAnswer(add func(qid string, ans hit.Answer)) func(*hit.Question, []hit.C
 }
 
 // crowdSort orders one group's rows with the node's chosen sort
-// interface (engine defaults when un-annotated), accounting its
+// interface, accounting its
 // spending, and returns the order plus the time the sort settled on
 // the virtual clock. Comparison and rating rounds, the hybrid
 // algorithm's rating seed, and its comparison refinements all post
@@ -728,12 +683,8 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		return tally.Result().Order, done, nil
 	case core.SortRate:
 		gid := x.groupID("sort-rate/"+n.Task.Name, path)
-		batch := sp.RateBatch
-		if batch <= 0 {
-			batch = sortop.DefaultRateBatch
-		}
 		questions, tally, err := sortop.BuildRate(sub, n.Task, sortop.RateOptions{
-			BatchSize:   batch,
+			BatchSize:   sp.RateBatch,
 			Assignments: sp.Assignments,
 			GroupID:     gid,
 			Seed:        opts.Seed,
@@ -741,20 +692,16 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		if err != nil {
 			return nil, 0, err
 		}
-		done, _, err := x.runQuestions(ctx, n.Label(), gid, questions, batch, sp.Assignments, clock, perAnswer(tally.Add))
+		done, _, err := x.runQuestions(ctx, n.Label(), gid, questions, sp.RateBatch, sp.Assignments, clock, perAnswer(tally.Add))
 		if err != nil {
 			return nil, 0, err
 		}
 		return tally.Result().Order, done, nil
 	case core.SortHybrid:
 		gid := x.groupID("sort-hybrid/"+n.Task.Name, path)
-		batch := sp.RateBatch
-		if batch <= 0 {
-			batch = sortop.DefaultRateBatch
-		}
 		// Rating seed through the poster (chunked, retried) …
 		questions, tally, err := sortop.BuildRate(sub, n.Task, sortop.RateOptions{
-			BatchSize:   batch,
+			BatchSize:   sp.RateBatch,
 			Assignments: sp.Assignments,
 			GroupID:     gid + "/rate",
 			Seed:        opts.Seed,
@@ -762,7 +709,7 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 		if err != nil {
 			return nil, 0, err
 		}
-		done, acct, err := x.runQuestions(ctx, n.Label()+" [rate seed]", gid+"/rate", questions, batch, sp.Assignments, clock, perAnswer(tally.Add))
+		done, acct, err := x.runQuestions(ctx, n.Label()+" [rate seed]", gid+"/rate", questions, sp.RateBatch, sp.Assignments, clock, perAnswer(tally.Add))
 		if err != nil {
 			return nil, 0, err
 		}

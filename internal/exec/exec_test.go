@@ -26,6 +26,7 @@ func runQueryContext(ctx context.Context, e *core.Engine, src string) (*relation
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.Pin(root, e.Options)
 	return Run(ctx, e, root, nil)
 }
 
@@ -375,5 +376,20 @@ func TestComparePossibly(t *testing.T) {
 	}
 	if _, err := comparePossibly("cat", "<", "dog"); err == nil {
 		t.Error("text inequality accepted")
+	}
+}
+
+// TestRunRejectsUnannotatedCrowdNode: the executor runs only the
+// interfaces a plan carries, so a hand-built crowd node without an
+// annotation fails the run with an error naming it, before any HIT.
+func TestRunRejectsUnannotatedCrowdNode(t *testing.T) {
+	_, e := celebEngine(t, 4, 1, core.Options{})
+	root := &plan.CrowdFilter{Input: &plan.Scan{Table: "celeb"}, Task: dataset.IsFemaleTask()}
+	_, stats, err := Run(context.Background(), e, root, nil)
+	if err == nil || !strings.Contains(err.Error(), "CrowdFilter(isFemale)") {
+		t.Fatalf("Run = %v, want an error naming CrowdFilter(isFemale)", err)
+	}
+	if stats.TotalHITs() != 0 {
+		t.Errorf("posted %d HITs, want 0", stats.TotalHITs())
 	}
 }

@@ -1,7 +1,7 @@
 // Streaming POSSIBLY-feature extraction (paper §3.2's linear pass,
 // rebuilt on the chunked poster). An extStream mints one composite
 // extraction question per arriving tuple (or one per feature when
-// ExtractCombined is off), fills HITs of Options.ExtractBatch, and
+// ExtractCombined is off), fills HITs of the join's ExtractBatch, and
 // posts them through internal/poster — so extraction inherits the
 // refusal/expiry retry policies, overlaps posting with collection, and
 // (on the probe side of a join) overlaps with upstream operators still
@@ -69,21 +69,16 @@ type extStream struct {
 // ("extract-left"/"extract-right") and seq is the owning operator's
 // shared chunk counter so collection interleaves deterministically
 // with the operator's other posters.
-func (x *executor) newExtStream(label, groupID string, features []join.Feature, assignments int, seq *int) (*extStream, error) {
+func (x *executor) newExtStream(label, groupID string, features []join.Feature, batch, assignments int, seq *int) (*extStream, error) {
 	comb, err := x.eng.Combiner()
 	if err != nil {
 		return nil, err
-	}
-	opts := &x.eng.Options
-	batch := opts.ExtractBatch
-	if batch <= 0 {
-		batch = 4
 	}
 	e := &extStream{
 		x:        x,
 		groupID:  groupID,
 		features: features,
-		combined: opts.ExtractCombined,
+		combined: x.eng.Options.ExtractCombined,
 		batch:    batch,
 		comb:     comb,
 		perQ:     combine.IsPerQuestion(comb),

@@ -202,6 +202,7 @@ func TestJoinBreakerNotes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan.Pin(node, e.Options)
 		op, err := Compile(e, node)
 		if err != nil {
 			t.Fatal(err)

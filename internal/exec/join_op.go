@@ -188,12 +188,12 @@ func (j *crowdJoinOp) initExtraction() error {
 	}
 	var err error
 	j.xl, err = j.x.newExtStream("extract-left",
-		j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl"), lf, j.phys.Assignments, &j.seq)
+		j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl"), lf, j.phys.ExtractBatch, j.phys.Assignments, &j.seq)
 	if err != nil {
 		return err
 	}
 	j.xr, err = j.x.newExtStream("extract-right",
-		j.x.groupID("extract-right/"+j.node.Task.Name, j.path+".xr"), rf, j.phys.Assignments, &j.seq)
+		j.x.groupID("extract-right/"+j.node.Task.Name, j.path+".xr"), rf, j.phys.ExtractBatch, j.phys.Assignments, &j.seq)
 	return err
 }
 
@@ -889,8 +889,7 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 	if j.leftEOS && j.xl.done() && j.genLeft >= len(j.leftRows) && !j.pairsDone {
 		j.pairsDone = true
 		if j.useSmart && len(j.tailPairs) > 0 {
-			r, s := j.replanGrid()
-			err := j.layoutGrids(join.SliceSeq(j.tailPairs), r, s, j.pairClock)
+			err := j.layoutGrids(join.SliceSeq(j.tailPairs), j.phys.GridRows, j.phys.GridCols, j.pairClock)
 			j.tailPairs = nil
 			if err != nil {
 				return false, err
@@ -905,20 +904,6 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 	// pair was pruned — otherwise a fully-filtered visit window would
 	// end the operator with candidates still unscanned.
 	return visited > 0, nil
-}
-
-// replanGrid is the grid shape a mid-run switch lays tail pairs out
-// with — the engine's configured SmartBatch shape (a Naive physical
-// plan carries no grid dimensions of its own).
-func (j *crowdJoinOp) replanGrid() (int, int) {
-	r, s := j.x.eng.Options.GridRows, j.x.eng.Options.GridCols
-	if r <= 0 {
-		r = 3
-	}
-	if s <= 0 {
-		s = 3
-	}
-	return r, s
 }
 
 // maybeReplan makes the one mid-run join re-optimization decision, at
@@ -943,7 +928,9 @@ func (j *crowdJoinOp) maybeReplan() error {
 		return nil
 	}
 	f := float64(j.passPairs) / float64(j.scanPairs)
-	r, s := j.replanGrid()
+	// A Simple or NaiveBatch annotation carries the grid shape a switch
+	// lays the remaining pairs out with.
+	r, s := j.phys.GridRows, j.phys.GridCols
 	b := float64(j.pairBatch())
 	naivePerRow := f * float64(nr) / b
 	smartPerRow := float64(cost.CeilDiv(nr, s)) * (1 - math.Pow(1-f, float64(r*s))) / float64(r)

@@ -23,7 +23,6 @@ import (
 	"qurk/internal/obstats"
 	"qurk/internal/plan"
 	"qurk/internal/relation"
-	"qurk/internal/sortop"
 	"qurk/internal/spill"
 )
 
@@ -315,11 +314,7 @@ func (o *crowdOrderByOp) replanGroup(sub *relation.Relation, path string) (plan.
 		s = 2
 	}
 	compareHITs := plan.CompareCoverHITs(n, s)
-	rateBatch := phys.RateBatch
-	if rateBatch <= 0 {
-		rateBatch = sortop.DefaultRateBatch
-	}
-	rateHITs := cost.RateSortHITs(n, rateBatch)
+	rateHITs := cost.RateSortHITs(n, phys.RateBatch)
 	if rateHITs < compareHITs && cost.QualityRateSort >= repl.MinQuality {
 		phys.Method = core.SortRate
 	}

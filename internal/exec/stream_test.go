@@ -443,6 +443,7 @@ func TestDescribeMarksBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.Pin(node, e.Options)
 	op, err := Compile(e, node)
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,7 @@ func runQuery(e *core.Engine, src string) (*relation.Relation, *exec.Stats, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.Pin(root, e.Options)
 	return exec.Run(context.Background(), e, root, nil)
 }
 

@@ -7,8 +7,10 @@
 // iteration counts — and annotates the nodes with the cheapest
 // alternative (in HITs) whose estimated answer quality clears a floor,
 // downgrading choices and per-operator assignment counts to fit a
-// total dollar budget. The annotated tree compiles on the existing
-// streaming executor unchanged.
+// total dollar budget. A node that arrives annotated (by Pin, or by an
+// earlier pass) is pinned: it is priced as its only alternative and
+// keeps its annotation, so pricing a pinned tree estimates exactly the
+// plan the executor will run.
 package plan
 
 import (
@@ -53,15 +55,18 @@ func (m CardMap) Cardinality(table string) (int, bool) {
 }
 
 // OptimizeOptions parametrizes the pass. Zero values take the engine's
-// defaults, so OptimizeOptions{} prices plans exactly as the executor
-// runs them.
+// defaults, so OptimizeOptions{} prices plans with the options a
+// default engine runs.
 type OptimizeOptions struct {
+	// Options are the engine options the pass prices with; zero fields
+	// take core's defaults. Assignments is the default (and maximum)
+	// workers per HIT, and the batch sizes and sort parameters shape
+	// every alternative. JoinBatch seeds the NaiveBatch candidates b and
+	// 2b, and GridRows×GridCols the SmartBatch candidates alongside 5×5.
+	core.Options
 	// BudgetDollars is the total spend allowed for the plan's crowd
 	// work; 0 means unconstrained.
 	BudgetDollars float64
-	// Assignments is the default (and maximum) workers per HIT
-	// (default 5).
-	Assignments int
 	// MinQuality is the per-answer accuracy floor an alternative must
 	// clear to be eligible outside budget pressure (default 0.85).
 	MinQuality float64
@@ -73,14 +78,6 @@ type OptimizeOptions struct {
 	// 1/max(|R|,|S|) — the equijoin-style "each row matches about one
 	// partner" estimate.
 	FilterSelectivity, MachineSelectivity, PossiblySelectivity, JoinSelectivity float64
-	// Batch sizes, mirroring core.Options (defaults 5, 5, 4, 5).
-	FilterBatch, GenerativeBatch, ExtractBatch, RateBatch int
-	// JoinBatch seeds the NaiveBatch candidates b and 2b (default 5);
-	// GridRows×GridCols seeds the SmartBatch candidates alongside 5×5
-	// (default 3×3).
-	JoinBatch, GridRows, GridCols int
-	// Sort parameters, mirroring core.Options (defaults 5, 20, 6).
-	CompareGroupSize, HybridIterations, HybridStep int
 	// Stats, when non-nil, seeds selectivity / pass-fraction /
 	// group-size estimates from observed history: each estimate is the
 	// fixed prior blended toward the store's weighted mean
@@ -89,9 +86,7 @@ type OptimizeOptions struct {
 }
 
 func (o *OptimizeOptions) fillDefaults() {
-	if o.Assignments == 0 {
-		o.Assignments = 5
-	}
+	o.Options.FillDefaults()
 	if o.MinQuality == 0 {
 		o.MinQuality = 0.85
 	}
@@ -107,54 +102,11 @@ func (o *OptimizeOptions) fillDefaults() {
 	if o.PossiblySelectivity == 0 {
 		o.PossiblySelectivity = 0.5
 	}
-	if o.FilterBatch == 0 {
-		o.FilterBatch = 5
-	}
-	if o.GenerativeBatch == 0 {
-		o.GenerativeBatch = 5
-	}
-	if o.ExtractBatch == 0 {
-		o.ExtractBatch = 4
-	}
-	if o.RateBatch == 0 {
-		o.RateBatch = 5
-	}
-	if o.JoinBatch == 0 {
-		o.JoinBatch = 5
-	}
-	if o.GridRows == 0 {
-		o.GridRows = 3
-	}
-	if o.GridCols == 0 {
-		o.GridCols = 3
-	}
-	if o.CompareGroupSize == 0 {
-		o.CompareGroupSize = 5
-	}
-	if o.HybridIterations == 0 {
-		o.HybridIterations = 20
-	}
-	if o.HybridStep == 0 {
-		o.HybridStep = 6
-	}
 }
 
 // OptimizeOptionsFrom seeds the pass from engine options plus a budget.
 func OptimizeOptionsFrom(eo core.Options, budgetDollars float64) OptimizeOptions {
-	return OptimizeOptions{
-		BudgetDollars:    budgetDollars,
-		Assignments:      eo.Assignments,
-		FilterBatch:      eo.FilterBatch,
-		GenerativeBatch:  eo.GenerativeBatch,
-		ExtractBatch:     eo.ExtractBatch,
-		RateBatch:        eo.RateBatch,
-		JoinBatch:        eo.JoinBatch,
-		GridRows:         eo.GridRows,
-		GridCols:         eo.GridCols,
-		CompareGroupSize: eo.CompareGroupSize,
-		HybridIterations: eo.HybridIterations,
-		HybridStep:       eo.HybridStep,
-	}
+	return OptimizeOptions{Options: eo, BudgetDollars: budgetDollars}
 }
 
 // OpCost is one crowd operator's costed choice.
@@ -198,9 +150,9 @@ type OpActual struct {
 // CostedPlan is the optimizer's result: the annotated tree plus the
 // estimates that justified each choice.
 type CostedPlan struct {
-	// Root is the annotated plan tree. The engine's run paths
-	// (Client.Run, qurkd) still execute the unannotated plan.Build
-	// tree; exec.Run (qurk.RunPlan) is the one way to execute Root.
+	// Root is the annotated plan tree; exec.Run (qurk.RunPlan) executes
+	// it. The engine's run paths (Client.Run, qurkd) pin their tree
+	// before pricing it, so their Root is the tree they run.
 	Root Node
 	// Ops lists crowd operators in plan (post-) order.
 	Ops []OpCost
@@ -262,7 +214,13 @@ type opEntry struct {
 	chosen         int
 	assignments    int
 	inRows, outRow int
+	// pinned marks a node that arrived annotated: its one alternative
+	// is the annotation, and its assignments are not negotiable.
+	pinned bool
 }
+
+// pin marks the entry pinned at the annotation's assignment count.
+func (e *opEntry) pin(assignments int) { e.pinned, e.assignments = true, assignments }
 
 type optimizer struct {
 	opt     OptimizeOptions
@@ -273,7 +231,9 @@ type optimizer struct {
 
 // Optimize annotates the plan with cost-chosen physical interfaces and
 // returns the costed plan. The tree is annotated in place (Phys fields
-// only); logical structure is untouched.
+// only); logical structure is untouched. Annotated nodes are pinned:
+// each is priced as its only alternative — refused or below the
+// quality floor included — and keeps its annotation.
 func Optimize(root Node, cards CardSource, opt OptimizeOptions) (*CostedPlan, error) {
 	opt.fillDefaults()
 	o := &optimizer{opt: opt, cards: cards}
@@ -341,9 +301,9 @@ func (o *optimizer) visit(n Node) (int, error) {
 			o.note("%s: selectivity %.3f seeded from observed history (weight %.0f)", t.Label(), sel, w)
 		}
 		out := scaleRows(in, sel)
-		o.addSingle(t, in, out, opt.FilterBatch, func(k int) {
-			t.Phys = &BatchPhys{Batch: opt.FilterBatch, Assignments: k}
-		}, segment{cost.BatchHITs(in, opt.FilterBatch), cost.PairEffort(opt.FilterBatch)})
+		o.addBatch(t, &t.Phys, opt.FilterBatch, in, out, func(b int) segment {
+			return segment{cost.BatchHITs(in, b), cost.PairEffort(b)}
+		})
 		return out, nil
 
 	case *CrowdFilterOr:
@@ -354,9 +314,9 @@ func (o *optimizer) visit(n Node) (int, error) {
 		uniq := uniqueBranches(t)
 		pass := 1 - math.Pow(1-opt.FilterSelectivity, float64(len(t.Branches)))
 		out := scaleRows(in, pass)
-		o.addSingle(t, in, out, opt.FilterBatch, func(k int) {
-			t.Phys = &BatchPhys{Batch: opt.FilterBatch, Assignments: k}
-		}, segment{uniq * cost.BatchHITs(in, opt.FilterBatch), cost.PairEffort(opt.FilterBatch)})
+		o.addBatch(t, &t.Phys, opt.FilterBatch, in, out, func(b int) segment {
+			return segment{uniq * cost.BatchHITs(in, b), cost.PairEffort(b)}
+		})
 		return out, nil
 
 	case *UnaryPossibly:
@@ -365,9 +325,9 @@ func (o *optimizer) visit(n Node) (int, error) {
 			return 0, err
 		}
 		out := scaleRows(in, opt.PossiblySelectivity)
-		o.addSingle(t, in, out, opt.ExtractBatch, func(k int) {
-			t.Phys = &BatchPhys{Batch: opt.ExtractBatch, Assignments: k}
-		}, segment{cost.BatchHITs(in, opt.ExtractBatch), cost.GenerativeEffort(1, opt.ExtractBatch)})
+		o.addBatch(t, &t.Phys, opt.ExtractBatch, in, out, func(b int) segment {
+			return segment{cost.BatchHITs(in, b), cost.GenerativeEffort(1, b)}
+		})
 		return out, nil
 
 	case *Generate:
@@ -375,9 +335,9 @@ func (o *optimizer) visit(n Node) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		o.addSingle(t, in, in, opt.GenerativeBatch, func(k int) {
-			t.Phys = &BatchPhys{Batch: opt.GenerativeBatch, Assignments: k}
-		}, segment{cost.BatchHITs(in, opt.GenerativeBatch), cost.GenerativeEffort(len(t.Fields), opt.GenerativeBatch)})
+		o.addBatch(t, &t.Phys, opt.GenerativeBatch, in, in, func(b int) segment {
+			return segment{cost.BatchHITs(in, b), cost.GenerativeEffort(len(t.Fields), b)}
+		})
 		return in, nil
 
 	case *CrowdJoin:
@@ -418,22 +378,22 @@ func (o *optimizer) visit(n Node) (int, error) {
 	}
 }
 
-// addSingle registers a crowd operator with exactly one interface (its
-// batching is fixed by options; only the vote level is negotiable).
-func (o *optimizer) addSingle(n Node, in, out, batch int, apply func(int), segs ...segment) {
-	o.entries = append(o.entries, &opEntry{
-		node:   n,
-		label:  n.Label(),
-		detail: fmt.Sprintf("rows %d→%d", in, out),
-		alts: []alternative{{
-			choice:  fmt.Sprintf("batch %d", batch),
-			quality: cost.FilterQuality(batch),
-			segs:    segs,
-			apply:   func(k int) { apply(k) },
-		}},
-		inRows: in,
-		outRow: out,
-	})
+// addBatch registers a crowd operator with exactly one interface: its
+// batching is fixed (by the annotation when pinned, else by options),
+// and only an unpinned operator's vote level is negotiable.
+func (o *optimizer) addBatch(n Node, phys **BatchPhys, batch, in, out int, seg func(batch int) segment) {
+	e := &opEntry{node: n, label: n.Label(), detail: fmt.Sprintf("rows %d→%d", in, out), inRows: in, outRow: out}
+	if p := *phys; p != nil {
+		batch = p.Batch
+		e.pin(p.Assignments)
+	}
+	e.alts = []alternative{{
+		choice:  fmt.Sprintf("batch %d", batch),
+		quality: cost.FilterQuality(batch),
+		segs:    []segment{seg(batch)},
+		apply:   func(k int) { *phys = &BatchPhys{Batch: batch, Assignments: k} },
+	}}
+	o.entries = append(o.entries, e)
 }
 
 // visitJoin enumerates join interface × prefilter alternatives.
@@ -471,9 +431,61 @@ func (o *optimizer) visitJoin(t *CrowdJoin, lr, rr int) (int, error) {
 	if passFrac < sel {
 		passFrac = sel
 	}
-	extractSegs := []segment{
-		{cost.BatchHITs(lr, opt.ExtractBatch), cost.GenerativeEffort(len(t.LeftFeatures), opt.ExtractBatch)},
-		{cost.BatchHITs(rr, opt.ExtractBatch), cost.GenerativeEffort(len(t.RightFeatures), opt.ExtractBatch)},
+	entry := &opEntry{
+		node:   t,
+		label:  t.Label(),
+		detail: fmt.Sprintf("|R|=%d |S|=%d pairs %d sel %.3f → rows %d", lr, rr, pairs, sel, out),
+		inRows: pairs,
+		outRow: out,
+	}
+	// alt prices one join interface; refused reports that its join HITs
+	// are too effortful for workers to accept at the paper's price.
+	alt := func(p JoinPhys) (alternative, bool) {
+		prefilter := p.UseFeatures && len(t.LeftFeatures) > 0
+		frac := 1.0
+		if prefilter {
+			frac = passFrac
+		}
+		var jseg segment
+		var q float64
+		switch p.Algorithm {
+		case join.Naive:
+			jseg = segment{cost.NaiveJoinHITs(cost.JoinPairs(lr, rr, frac), p.BatchSize), cost.PairEffort(p.BatchSize)}
+			q = cost.PairQuality(p.BatchSize)
+		case join.Smart:
+			jseg = segment{cost.SmartJoinHITs(lr, rr, p.GridRows, p.GridCols, frac), cost.GridEffort(p.GridRows, p.GridCols)}
+			q = cost.GridQuality(p.GridRows, p.GridCols, sel*float64(p.GridRows*p.GridCols))
+		default:
+			jseg = segment{cost.SimpleJoinHITs(cost.JoinPairs(lr, rr, frac)), cost.PairEffort(1)}
+			q = cost.QualitySimplePair
+		}
+		segs := []segment{jseg}
+		if prefilter {
+			segs = []segment{
+				{cost.BatchHITs(lr, p.ExtractBatch), cost.GenerativeEffort(len(t.LeftFeatures), p.ExtractBatch)},
+				{cost.BatchHITs(rr, p.ExtractBatch), cost.GenerativeEffort(len(t.RightFeatures), p.ExtractBatch)},
+				jseg,
+			}
+			// Extraction errors lose true matches: small per-feature
+			// quality tax (§3.2's result-loss rule exists for a reason).
+			q -= 0.01 * float64(len(t.LeftFeatures))
+		}
+		return alternative{
+			choice:  p.String(),
+			quality: q,
+			segs:    segs,
+			apply: func(k int) {
+				p.Assignments = k
+				t.Phys = &p
+			},
+		}, cost.Refused(jseg.effort)
+	}
+	if t.Phys != nil {
+		a, _ := alt(*t.Phys)
+		entry.alts = []alternative{a}
+		entry.pin(t.Phys.Assignments)
+		o.entries = append(o.entries, entry)
+		return out, nil
 	}
 
 	naives := []int{opt.JoinBatch}
@@ -484,80 +496,30 @@ func (o *optimizer) visitJoin(t *CrowdJoin, lr, rr int) (int, error) {
 	if opt.GridRows != 5 || opt.GridCols != 5 {
 		grids = append(grids, [2]int{5, 5})
 	}
-
-	entry := &opEntry{
-		node:   t,
-		label:  t.Label(),
-		detail: fmt.Sprintf("|R|=%d |S|=%d pairs %d sel %.3f → rows %d", lr, rr, pairs, sel, out),
-		inRows: pairs,
-		outRow: out,
+	// Every candidate carries the options' batch, grid and extraction
+	// shapes in the fields its interface does not choose, as Pin does.
+	add := func(p JoinPhys) {
+		if a, refused := alt(p); !refused {
+			entry.alts = append(entry.alts, a)
+		}
 	}
-	add := func(alg join.Algorithm, b, gr, gc int, prefilter bool) {
-		frac := 1.0
-		if prefilter {
-			frac = passFrac
-		}
-		var jseg segment
-		var phys JoinPhys
-		var name string
-		switch alg {
-		case join.Simple:
-			jseg = segment{cost.SimpleJoinHITs(cost.JoinPairs(lr, rr, frac)), cost.PairEffort(1)}
-			phys = JoinPhys{Algorithm: join.Simple}
-			name = "Simple"
-		case join.Naive:
-			jseg = segment{cost.NaiveJoinHITs(cost.JoinPairs(lr, rr, frac), b), cost.PairEffort(b)}
-			phys = JoinPhys{Algorithm: join.Naive, BatchSize: b}
-			name = fmt.Sprintf("NaiveBatch b=%d", b)
-		case join.Smart:
-			jseg = segment{cost.SmartJoinHITs(lr, rr, gr, gc, frac), cost.GridEffort(gr, gc)}
-			phys = JoinPhys{Algorithm: join.Smart, GridRows: gr, GridCols: gc}
-			name = fmt.Sprintf("SmartBatch %d×%d", gr, gc)
-		}
-		if cost.Refused(jseg.effort) {
-			return
-		}
-		q := 0.0
-		switch alg {
-		case join.Simple:
-			q = cost.QualitySimplePair
-		case join.Naive:
-			q = cost.PairQuality(b)
-		case join.Smart:
-			q = cost.GridQuality(gr, gc, sel*float64(gr*gc))
-		}
-		segs := []segment{jseg}
-		if prefilter {
-			phys.UseFeatures = true
-			name += " + prefilter"
-			segs = append(append([]segment{}, extractSegs...), jseg)
-			// Extraction errors lose true matches: small per-feature
-			// quality tax (§3.2's result-loss rule exists for a reason).
-			q -= 0.01 * float64(len(t.LeftFeatures))
-		}
-		p := phys
-		entry.alts = append(entry.alts, alternative{
-			choice:  name,
-			quality: q,
-			segs:    segs,
-			apply: func(k int) {
-				pp := p
-				pp.Assignments = k
-				t.Phys = &pp
-			},
-		})
-	}
+	base := JoinPhys{BatchSize: opt.JoinBatch, GridRows: opt.GridRows, GridCols: opt.GridCols, ExtractBatch: opt.ExtractBatch}
 	prefilters := []bool{false}
 	if len(t.LeftFeatures) > 0 {
 		prefilters = append(prefilters, true)
 	}
 	for _, pf := range prefilters {
-		add(join.Simple, 0, 0, 0, pf)
+		base.UseFeatures = pf
+		add(base) // Simple
 		for _, b := range naives {
-			add(join.Naive, b, 0, 0, pf)
+			p := base
+			p.Algorithm, p.BatchSize = join.Naive, b
+			add(p)
 		}
 		for _, g := range grids {
-			add(join.Smart, 0, g[0], g[1], pf)
+			p := base
+			p.Algorithm, p.GridRows, p.GridCols = join.Smart, g[0], g[1]
+			add(p)
 		}
 	}
 	o.entries = append(o.entries, entry)
@@ -597,59 +559,51 @@ func (o *optimizer) visitSort(t *CrowdOrderBy, in int) {
 			o.note("%s estimated as a single group (group count unknown before execution)", t.Label())
 		}
 	}
-	if in < 2 {
-		entry.alts = []alternative{{
-			choice:  "(≤1 row, no crowd sort)",
-			quality: 1,
-			apply: func(k int) {
-				t.Phys = &SortPhys{Method: core.SortCompare, GroupSize: opt.CompareGroupSize,
-					RateBatch: opt.RateBatch, Iterations: opt.HybridIterations, Step: opt.HybridStep,
-					Strategy: sortop.SlidingWindow, Assignments: k}
-			},
-		}}
-		o.entries = append(o.entries, entry)
-		return
+	base := SortPhys{GroupSize: opt.CompareGroupSize, RateBatch: opt.RateBatch,
+		Iterations: opt.HybridIterations, Step: opt.HybridStep, Strategy: sortop.SlidingWindow}
+	annotate := func(p SortPhys) func(int) {
+		return func(k int) {
+			p.Assignments = k
+			t.Phys = &p
+		}
 	}
-	s := opt.CompareGroupSize
-	compareHITs := groups * CompareCoverHITs(gsize, s)
-	if gsize > exactCoverLimit {
+	// alt prices one sort interface.
+	alt := func(p SortPhys) alternative {
+		a := alternative{choice: p.String(), apply: annotate(p)}
+		rate := segment{groups * cost.RateSortHITs(gsize, p.RateBatch), cost.PairEffort(p.RateBatch)}
+		switch p.Method {
+		case core.SortRate:
+			a.quality, a.segs = cost.QualityRateSort, []segment{rate}
+		case core.SortHybrid:
+			a.quality = cost.HybridQuality(gsize, p.Iterations, p.Step)
+			a.segs = []segment{rate, {groups * p.Iterations, cost.CompareEffort(p.GroupSize)}}
+		default:
+			a.quality = cost.QualityCompareSort
+			a.segs = []segment{{groups * CompareCoverHITs(gsize, p.GroupSize), cost.CompareEffort(p.GroupSize)}}
+		}
+		return a
+	}
+	switch {
+	case in < 2:
+		entry.alts = []alternative{{choice: "(≤1 row, no crowd sort)", quality: 1, apply: annotate(base)}}
+	case t.Phys != nil:
+		entry.alts = []alternative{alt(*t.Phys)}
+	default:
+		entry.alts = append(entry.alts, alt(base)) // Compare
+		rate := base
+		rate.Method = core.SortRate
+		entry.alts = append(entry.alts, alt(rate))
+		for _, iters := range hybridIterationLevels(opt.HybridIterations, gsize) {
+			h := base
+			h.Method, h.Iterations = core.SortHybrid, iters
+			entry.alts = append(entry.alts, alt(h))
+		}
+	}
+	if in >= 2 && gsize > exactCoverLimit {
 		o.note("%s: comparison cover approximated analytically for %d rows", t.Label(), gsize)
 	}
-	entry.alts = append(entry.alts, alternative{
-		choice:  fmt.Sprintf("Compare S=%d", s),
-		quality: cost.QualityCompareSort,
-		segs:    []segment{{compareHITs, cost.CompareEffort(s)}},
-		apply: func(k int) {
-			t.Phys = &SortPhys{Method: core.SortCompare, GroupSize: s,
-				RateBatch: opt.RateBatch, Iterations: opt.HybridIterations, Step: opt.HybridStep,
-				Strategy: sortop.SlidingWindow, Assignments: k}
-		},
-	})
-	entry.alts = append(entry.alts, alternative{
-		choice:  fmt.Sprintf("Rate b=%d", opt.RateBatch),
-		quality: cost.QualityRateSort,
-		segs:    []segment{{groups * cost.RateSortHITs(gsize, opt.RateBatch), cost.PairEffort(opt.RateBatch)}},
-		apply: func(k int) {
-			t.Phys = &SortPhys{Method: core.SortRate, GroupSize: s,
-				RateBatch: opt.RateBatch, Iterations: opt.HybridIterations, Step: opt.HybridStep,
-				Strategy: sortop.SlidingWindow, Assignments: k}
-		},
-	})
-	for _, iters := range hybridIterationLevels(opt.HybridIterations, gsize) {
-		iters := iters
-		entry.alts = append(entry.alts, alternative{
-			choice:  fmt.Sprintf("Hybrid/Window S=%d t=%d i=%d", s, opt.HybridStep, iters),
-			quality: cost.HybridQuality(gsize, iters, opt.HybridStep),
-			segs: []segment{
-				{groups * cost.RateSortHITs(gsize, opt.RateBatch), cost.PairEffort(opt.RateBatch)},
-				{groups * iters, cost.CompareEffort(s)},
-			},
-			apply: func(k int) {
-				t.Phys = &SortPhys{Method: core.SortHybrid, GroupSize: s,
-					RateBatch: opt.RateBatch, Iterations: iters, Step: opt.HybridStep,
-					Strategy: sortop.SlidingWindow, Assignments: k}
-			},
-		})
+	if t.Phys != nil {
+		entry.pin(t.Phys.Assignments)
 	}
 	o.entries = append(o.entries, entry)
 }
@@ -729,9 +683,9 @@ func (o *optimizer) selectAlternatives() {
 }
 
 // fitBudget downgrades choices (largest HIT saving first, quality as
-// tie-break) until the plan's floor cost — every operator at one
-// assignment — fits the budget. Returns true when even the global
-// minimum exceeds it.
+// tie-break) until the plan's floor cost — every unpinned operator at
+// one assignment, every pinned one at its own — fits the budget.
+// Returns true when even the global minimum exceeds it.
 func (o *optimizer) fitBudget() bool {
 	budget := o.opt.BudgetDollars
 	if budget <= 0 {
@@ -740,7 +694,11 @@ func (o *optimizer) fitBudget() bool {
 	floorDollars := func() float64 {
 		var d float64
 		for _, e := range o.entries {
-			d += cost.Dollars(e.alts[e.chosen].hits(), 1)
+			k := 1
+			if e.pinned {
+				k = e.assignments
+			}
+			d += cost.Dollars(e.alts[e.chosen].hits(), k)
 		}
 		return d
 	}
@@ -775,9 +733,16 @@ func (o *optimizer) fitBudget() bool {
 // levels via the §6 whole-plan allocator: odd levels up to the default
 // assignment count, maximizing the weakest operator's post-vote
 // quality. Unconstrained plans use the default level everywhere.
+// Pinned operators keep their own level, and their dollars come off
+// the budget the allocator spreads.
 func (o *optimizer) allocateAssignments(over bool) {
 	maxK := o.opt.Assignments
+	budget := o.opt.BudgetDollars
 	for _, e := range o.entries {
+		if e.pinned {
+			budget -= cost.Dollars(e.alts[e.chosen].hits(), e.assignments)
+			continue
+		}
 		e.assignments = maxK
 	}
 	if o.opt.BudgetDollars <= 0 {
@@ -785,7 +750,9 @@ func (o *optimizer) allocateAssignments(over bool) {
 	}
 	if over {
 		for _, e := range o.entries {
-			e.assignments = 1
+			if !e.pinned {
+				e.assignments = 1
+			}
 		}
 		return
 	}
@@ -800,7 +767,7 @@ func (o *optimizer) allocateAssignments(over bool) {
 	var idx []int
 	for i, e := range o.entries {
 		a := &e.alts[e.chosen]
-		if a.hits() == 0 {
+		if a.hits() == 0 || e.pinned {
 			continue
 		}
 		qs := make([]float64, len(levels))
@@ -815,7 +782,7 @@ func (o *optimizer) allocateAssignments(over bool) {
 	if len(stages) == 0 {
 		return
 	}
-	bp, err := adaptive.AllocateBudget(stages, o.opt.BudgetDollars)
+	bp, err := adaptive.AllocateBudget(stages, budget)
 	if err != nil {
 		// fitBudget guaranteed the floor fits, so this is unreachable;
 		// degrade gracefully regardless.
@@ -844,7 +811,9 @@ func (o *optimizer) finish(root Node, over bool) *CostedPlan {
 	for _, e := range o.entries {
 		a := &e.alts[e.chosen]
 		k := e.assignments
-		a.apply(k)
+		if !e.pinned {
+			a.apply(k)
+		}
 		q := cost.MajorityQuality(a.quality, k)
 		oc := OpCost{
 			Node:          e.node,

@@ -8,11 +8,12 @@ import (
 	"qurk/internal/sortop"
 )
 
-// Physical annotations. The optimizer (Optimize) decorates logical plan
-// nodes with the interface it chose for each crowd operator; the
-// streaming executor reads the annotation and falls back to the
-// engine-wide Options when a node carries none, so hand-built and
-// un-optimized plans behave exactly as before.
+// Physical annotations. Every crowd node the streaming executor runs
+// carries one, and the executor reads nothing else to choose an
+// interface. The optimizer (Optimize) writes the interface it chose for
+// each crowd operator; Pin writes the one the engine-wide Options
+// select. Optimize keeps an annotation it finds, so a pinned tree is
+// priced as the plan it will run.
 
 // JoinPhys is the chosen join interface for one CrowdJoin.
 type JoinPhys struct {
@@ -21,13 +22,17 @@ type JoinPhys struct {
 	// BatchSize is pairs per HIT for Naive.
 	BatchSize int
 	// GridRows×GridCols is the Smart grid shape.
+	// A Simple or NaiveBatch join keeps a grid shape too: it is the
+	// shape a mid-run re-plan lays the remaining pairs out with.
 	GridRows, GridCols int
 	// UseFeatures applies the POSSIBLY feature pre-filter (§3.2) when
 	// the node has features; false joins the full cross product even
 	// then (the optimizer found extraction not worth its HITs).
 	UseFeatures bool
-	// Assignments is workers per HIT for this operator (0 = engine
-	// default) — the budget allocator's per-stage vote level.
+	// ExtractBatch is subjects per feature-extraction HIT.
+	ExtractBatch int
+	// Assignments is workers per HIT for this operator — the budget
+	// allocator's per-stage vote level.
 	Assignments int
 }
 
@@ -60,11 +65,11 @@ type SortPhys struct {
 	// Iterations and Step parametrize Hybrid refinement.
 	Iterations, Step int
 	// Strategy is the Hybrid window scheme. It is honored verbatim —
-	// the zero value is sortop.RandomWindow, not the engine default
-	// SlidingWindow — so hand-built annotations should set it
-	// explicitly (the optimizer always does).
+	// the zero value is sortop.RandomWindow, not SlidingWindow — so
+	// hand-built annotations should set it explicitly (Pin and the
+	// optimizer always do).
 	Strategy sortop.WindowStrategy
-	// Assignments is workers per HIT (0 = engine default).
+	// Assignments is workers per HIT.
 	Assignments int
 }
 
@@ -86,9 +91,53 @@ func (p *SortPhys) String() string {
 type BatchPhys struct {
 	// Batch is questions per HIT.
 	Batch int
-	// Assignments is workers per HIT (0 = engine default).
+	// Assignments is workers per HIT.
 	Assignments int
 }
 
 // String renders the choice.
 func (p *BatchPhys) String() string { return fmt.Sprintf("batch %d", p.Batch) }
+
+// Pin annotates every crowd node under root that has no annotation
+// with the complete physical choice opts selects (zero fields take
+// core's defaults): its batch sizes, join interface and grid shape,
+// sort method and parameters, and assignments. A join applies its
+// POSSIBLY features whenever it has some, and a Hybrid sort uses
+// sliding windows. Annotated nodes are left alone.
+func Pin(root Node, opts core.Options) {
+	opts.FillDefaults()
+	batch := func(p **BatchPhys, b int) {
+		if *p == nil {
+			*p = &BatchPhys{Batch: b, Assignments: opts.Assignments}
+		}
+	}
+	var walk func(Node)
+	walk = func(n Node) {
+		switch t := n.(type) {
+		case *CrowdFilter:
+			batch(&t.Phys, opts.FilterBatch)
+		case *CrowdFilterOr:
+			batch(&t.Phys, opts.FilterBatch)
+		case *UnaryPossibly:
+			batch(&t.Phys, opts.ExtractBatch)
+		case *Generate:
+			batch(&t.Phys, opts.GenerativeBatch)
+		case *CrowdJoin:
+			if t.Phys == nil {
+				t.Phys = &JoinPhys{Algorithm: opts.JoinAlgorithm, BatchSize: opts.JoinBatch,
+					GridRows: opts.GridRows, GridCols: opts.GridCols, UseFeatures: len(t.LeftFeatures) > 0,
+					ExtractBatch: opts.ExtractBatch, Assignments: opts.Assignments}
+			}
+		case *CrowdOrderBy:
+			if t.Phys == nil {
+				t.Phys = &SortPhys{Method: opts.SortMethod, GroupSize: opts.CompareGroupSize,
+					RateBatch: opts.RateBatch, Iterations: opts.HybridIterations, Step: opts.HybridStep,
+					Strategy: sortop.SlidingWindow, Assignments: opts.Assignments}
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+}

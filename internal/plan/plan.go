@@ -71,7 +71,8 @@ type CrowdFilter struct {
 	Task *task.Filter
 	// Negate keeps the tuples the crowd says NO to.
 	Negate bool
-	// Phys is the optimizer's batching choice (nil = engine defaults).
+	// Phys is the batching choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *BatchPhys
 }
 
@@ -95,7 +96,8 @@ type CrowdFilterOr struct {
 	Branches []*task.Filter
 	// Negates marks per-branch negation, parallel to Branches.
 	Negates []bool
-	// Phys is the optimizer's batching choice (nil = engine defaults).
+	// Phys is the batching choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *BatchPhys
 }
 
@@ -128,7 +130,8 @@ type UnaryPossibly struct {
 	Op string
 	// Value is the literal the extraction compares against.
 	Value string
-	// Phys is the optimizer's batching choice (nil = engine defaults).
+	// Phys is the batching choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *BatchPhys
 }
 
@@ -152,7 +155,8 @@ type CrowdJoin struct {
 	LeftFeatures []join.Feature
 	// RightFeatures holds the build side's feature filters.
 	RightFeatures []join.Feature
-	// Phys is the optimizer's interface choice (nil = engine defaults).
+	// Phys is the interface choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *JoinPhys
 }
 
@@ -180,7 +184,8 @@ type Generate struct {
 	Task *task.Generative
 	// Fields lists the requested output fields.
 	Fields []string
-	// Phys is the optimizer's batching choice (nil = engine defaults).
+	// Phys is the batching choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *BatchPhys
 }
 
@@ -204,7 +209,8 @@ type CrowdOrderBy struct {
 	Task *task.Rank
 	// Desc reverses the crowd order.
 	Desc bool
-	// Phys is the optimizer's interface choice (nil = engine defaults).
+	// Phys is the interface choice (set by Pin or Optimize; the executor
+	// requires it).
 	Phys *SortPhys
 }
 

@@ -232,6 +232,7 @@ func (s *Service) recoverOne(id string) {
 		fail(m, StateFailed, err)
 		return
 	}
+	plan.Pin(root, eng.Options)
 
 	s.wireJournal(j, gate, eng)
 	ctx, q := s.register(id, tenant.ID, m.Backend, m.Query, eng, j)

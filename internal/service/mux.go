@@ -8,68 +8,41 @@ import (
 	"qurk/internal/hit"
 )
 
-// Mux funnels every query's HIT chunks for one backend through a
-// single dispatch loop. Operators across all concurrent queries post
-// through their engines' budget gates into the same Mux, so one
-// goroutine per backend owns the post order (admission is serialized
-// and counted), while completed groups are awaited concurrently by
-// their posters — many queries, one poster loop per marketplace.
+// Mux is the one entry every query's HIT groups take to a backend.
+// Operators across all concurrent queries post through their engines'
+// budget gates into the same Mux, which counts the groups and HITs it
+// admits and hands each group straight to the backend.
 //
-// The wrapped backend still honors the crowd.Marketplace concurrency
-// contract (results depend on group content, never interleaving), so
-// serializing admission changes observability, not results.
+// The wrapped backend honors the crowd.Marketplace concurrency contract
+// (concurrent RunAsync calls are safe, and results depend on group
+// content, never interleaving), so the order in which concurrent
+// queries' groups arrive changes observability, not results.
 type Mux struct {
 	inner crowd.Marketplace
-	reqs  chan muxReq
 
 	mu     sync.Mutex
 	closed bool
-	done   chan struct{}
 	groups int
 	hits   int
 }
 
-type muxReq struct {
-	group *hit.Group
-	out   chan crowd.Async
-}
+// NewMux wraps a backend.
+func NewMux(inner crowd.Marketplace) *Mux { return &Mux{inner: inner} }
 
-// NewMux starts the dispatch loop over a backend.
-func NewMux(inner crowd.Marketplace) *Mux {
-	m := &Mux{inner: inner, reqs: make(chan muxReq), done: make(chan struct{})}
-	go m.dispatch()
-	return m
-}
-
-// dispatch is the backend's single admission loop: it owns the order
-// in which groups reach the marketplace and the posted-work counters.
-func (m *Mux) dispatch() {
-	for {
-		select {
-		case req := <-m.reqs:
-			m.mu.Lock()
-			m.groups++
-			m.hits += len(req.group.HITs)
-			m.mu.Unlock()
-			ch := m.inner.RunAsync(req.group)
-			go func(out chan crowd.Async) { out <- <-ch }(req.out)
-		case <-m.done:
-			return
-		}
-	}
-}
-
-// RunAsync posts one group through the loop without blocking; the loop
-// has taken the group, fixing its place in the post order, before
-// RunAsync returns.
+// RunAsync counts one group and posts it without blocking; after Close
+// it refuses the group with errMuxClosed.
 func (m *Mux) RunAsync(group *hit.Group) <-chan crowd.Async {
-	out := make(chan crowd.Async, 1)
-	select {
-	case m.reqs <- muxReq{group: group, out: out}:
-	case <-m.done:
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		out := make(chan crowd.Async, 1)
 		out <- crowd.Async{Err: errMuxClosed}
+		return out
 	}
-	return out
+	m.groups++
+	m.hits += len(group.HITs)
+	m.mu.Unlock()
+	return m.inner.RunAsync(group)
 }
 
 // Run implements crowd.Marketplace by waiting on RunAsync.
@@ -84,19 +57,16 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// Stats reports groups and HITs admitted through the loop.
+// Stats reports groups and HITs admitted through the mux.
 func (m *Mux) Stats() (groups, hits int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.groups, m.hits
 }
 
-// Close stops the dispatch loop; groups already admitted complete.
+// Close refuses further groups; groups already admitted complete.
 func (m *Mux) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.closed {
-		m.closed = true
-		close(m.done)
-	}
+	m.closed = true
 }

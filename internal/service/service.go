@@ -5,14 +5,14 @@
 // The pieces, composed per the paper's architecture (Fig. 1) scaled to
 // a long-running process:
 //
-//   - One Mux per backend: a single dispatch loop all queries' HIT
-//     chunks post through, so the process maintains one poster loop
-//     per marketplace rather than one per query.
+//   - One Mux per backend: the one entry all queries' HIT chunks post
+//     through, counting the groups and HITs each backend admits.
 //   - One Tenant per paying principal, with a dollar budget enforced
 //     through a cost.Ledger: queries are admitted only when the
-//     optimizer's estimate fits the remaining budget, and every posted
-//     group is charged before it reaches the marketplace (BudgetGate),
-//     cutting a query off mid-run when the money runs out.
+//     estimate of the plan they will run fits the remaining budget,
+//     and every posted group is charged before it reaches the
+//     marketplace (BudgetGate), cutting a query off mid-run when the
+//     money runs out.
 //   - One shared core.AnswerStore (internal/answerstore) across every
 //     engine the service builds: a question some earlier query already
 //     paid for is served from the store and never posted again.
@@ -39,7 +39,6 @@ import (
 	"qurk/internal/crowd"
 	"qurk/internal/exec"
 	"qurk/internal/plan"
-	"qurk/internal/query"
 	"qurk/internal/relation"
 	"qurk/internal/wal"
 )
@@ -368,9 +367,10 @@ type SubmitRequest struct {
 }
 
 // Submit admits and starts one query, returning its handle
-// immediately; execution proceeds in the background. Admission fails
-// with ErrBudgetExceeded when the optimizer's cost estimate does not
-// fit the tenant's remaining budget.
+// immediately; execution proceeds in the background. The query runs
+// the plan its options pin, and admission fails with ErrBudgetExceeded
+// when that plan's estimated cost does not fit the tenant's remaining
+// budget.
 func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 	if req.Tenant == "" {
 		return nil, errors.New("service: submission needs a tenant")
@@ -405,7 +405,7 @@ func (s *Service) Submit(req SubmitRequest) (*Query, error) {
 	eng := s.newEngine(gate, opts)
 
 	// Admission control: the query must parse, plan, and fit the
-	// tenant's remaining budget by the optimizer's estimate.
+	// tenant's remaining budget by its pinned plan's estimate.
 	root, err := s.admit(eng, tenant, req.Query)
 	if err != nil {
 		return nil, err
@@ -442,28 +442,20 @@ func (s *Service) newEngine(gate *BudgetGate, opts core.Options) *core.Engine {
 	return eng
 }
 
-// admit parses the query once and builds two plan trees from the
-// statement: the one the query executes, which it returns, and one the
-// optimizer annotates in place to cost-estimate the query against the
-// tenant's remaining budget. Parse and plan errors reject the
-// submission here, synchronously, rather than as a failed background
-// query.
+// admit builds the query's one plan tree, pins the engine's options
+// into it, and prices that tree against the tenant's remaining budget;
+// it returns the tree the query executes, so the estimate is of the
+// plan that runs. Parse and plan errors reject the submission here,
+// synchronously, rather than as a failed background query.
 func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) (plan.Node, error) {
-	stmt, err := query.ParseQuery(src)
+	root, err := plan.BuildQuery(src, eng.Library)
 	if err != nil {
 		return nil, err
 	}
-	root, err := plan.Build(stmt, eng.Library)
-	if err != nil {
-		return nil, err
-	}
-	costed, err := plan.Build(stmt, eng.Library)
-	if err != nil {
-		return nil, err
-	}
+	plan.Pin(root, eng.Options)
 	// A store-seeded estimate lets a second submission of a workload
 	// the store has seen get a truer budget check before running.
-	cp, err := plan.OptimizeFor(eng, costed, 0)
+	cp, err := plan.OptimizeFor(eng, root, 0)
 	if err != nil {
 		return nil, err
 	}

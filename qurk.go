@@ -239,8 +239,13 @@ var (
 	NewEngine = core.NewEngine
 	// RunPlan executes an already-built plan tree on an engine,
 	// delivering result batches to a StreamSink (nil for none): the
-	// way to run a CostedPlan's Root, or a hand-built plan.
+	// way to run a CostedPlan's Root, or a hand-built plan once
+	// PinPlan has annotated it.
 	RunPlan = exec.Run
+	// PinPlan annotates every crowd node of a plan that has no physical
+	// annotation with the interfaces an engine's Options select — what
+	// Client.Run does before it runs a query.
+	PinPlan = plan.Pin
 	// CompilePlan builds the streaming operator tree without executing
 	// it; DescribePipeline renders it with pipeline breakers marked.
 	CompilePlan = exec.Compile

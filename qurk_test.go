@@ -16,6 +16,7 @@ func runQuery(e *Engine, src string) (*Relation, *ExecStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.Pin(root, e.Options)
 	return exec.Run(context.Background(), e, root, nil)
 }
 
