@@ -318,19 +318,20 @@ func (c *Client) runJournaled(ctx context.Context, src string, j *wal.Journal, s
 // run parses and plans src against e's task library, pins the
 // engine's options into the plan, then executes it.
 func run(ctx context.Context, e *Engine, src string, sink StreamSink) (*Relation, *ExecStats, error) {
-	root, err := plan.BuildQuery(src, e.Library)
+	root, err := plan.BuildPinned(src, e.Library, e.Options)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan.Pin(root, e.Options)
 	return exec.Run(ctx, e, root, sink)
 }
 
-// Optimize parses and plans a query, then runs the cost-based operator
-// selection pass against the client's catalog cardinalities, options,
-// and stats store: the returned CostedPlan's Root carries the chosen
-// physical interfaces and executes them via RunPlan. budgetDollars 0
-// means unconstrained.
+// Optimize parses and plans a query, then runs the free cost-based
+// operator selection pass against the client's catalog cardinalities,
+// options, and stats store: it picks every crowd node's interface
+// itself, rather than the Options-pinned ones Run executes (and Explain
+// shows). The returned CostedPlan's Root carries the chosen physical
+// interfaces and executes them via RunPlan. budgetDollars 0 means
+// unconstrained.
 func (c *Client) Optimize(src string, budgetDollars float64) (*CostedPlan, error) {
 	root, err := plan.BuildQuery(src, c.eng.Library)
 	if err != nil {
@@ -339,17 +340,23 @@ func (c *Client) Optimize(src string, budgetDollars float64) (*CostedPlan, error
 	return plan.OptimizeFor(c.eng, root, budgetDollars)
 }
 
-// Explain renders the costed physical plan for one query: each crowd
-// operator's chosen interface (join Simple/NaiveBatch/SmartBatch,
-// POSSIBLY pre-filter on/off, sort Compare/Rate/Hybrid), its estimated
-// HITs, dollars, and quality, and the plan totals against the budget —
-// a SQL EXPLAIN for crowd queries.
+// Explain renders the costed physical plan Run executes for one query
+// — the client's options pinned into the plan: each crowd operator's
+// interface (join Simple/NaiveBatch/SmartBatch, POSSIBLY pre-filter
+// on/off, sort Compare/Rate/Hybrid), its estimated HITs, dollars, and
+// quality, and the plan totals against the budget — a SQL EXPLAIN for
+// crowd queries. Optimize(src, budget).Render() shows the free
+// optimizer's plan instead.
 func (c *Client) Explain(src string, opts ...ExplainOptions) (string, error) {
 	var eo ExplainOptions
 	if len(opts) > 0 {
 		eo = opts[0]
 	}
-	cp, err := c.Optimize(src, eo.BudgetDollars)
+	root, err := plan.BuildPinned(src, c.eng.Library, c.eng.Options)
+	if err != nil {
+		return "", err
+	}
+	cp, err := plan.OptimizeFor(c.eng, root, eo.BudgetDollars)
 	if err != nil {
 		return "", err
 	}

@@ -44,7 +44,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		queryText   = flag.String("query", "", "query to run")
 		file        = flag.String("file", "", "script file with TASK definitions and queries")
-		explainOnly = flag.Bool("explain", false, "print the plan without running")
+		explainOnly = flag.Bool("explain", false, "print the costed plan each query runs (the options pinned into it), without running it")
 		joinAlg     = flag.String("join", "naive5", "join interface: simple, naive<B>, smart<R>x<C>")
 		sortMethod  = flag.String("sort", "compare", "sort interface: compare, rate, hybrid")
 		assignments = flag.Int("assignments", 5, "workers per HIT")

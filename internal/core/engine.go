@@ -182,14 +182,15 @@ type Options struct {
 	// refused questions were silently rejected.
 	RefusedRetries int
 	// BreakerMemTuples caps the tuples a pipeline breaker holds in
-	// memory (0 = unlimited). With a positive cap the machine sort
-	// becomes an external merge sort over spilled runs, the crowd sort
-	// externally partitions its input by group key, and the crowd
-	// join's build side spills to disk partitions — all via
-	// internal/spill's temp-dir run files, merged k-way with
-	// deterministic tie-breaks, so results are bit-identical at any
-	// cap. One crowd-sorted group (and the streaming operators' own
-	// in-flight bookkeeping) still materializes in memory.
+	// memory (0 = unlimited). It sets a cap only; it selects no code:
+	// the machine sort, the crowd sort's partitioning by group key, and
+	// the crowd join's build side always materialize through
+	// internal/spill. At 0 they keep one in-memory run and write no
+	// file; with a positive cap full runs spill to temp-dir run files,
+	// merged k-way with deterministic tie-breaks, so results are
+	// bit-identical at any cap. One crowd-sorted group (and the
+	// streaming operators' own in-flight bookkeeping) still
+	// materializes in memory.
 	BreakerMemTuples int
 	// SplitSortGroups bounds crowd-sort memory for oversized groups:
 	// with BreakerMemTuples > 0, a group larger than the cap splits

@@ -95,15 +95,6 @@ func digestRelation(rel *relation.Relation) uint64 {
 	return dig
 }
 
-// digest fingerprints the build table without re-reading spilled
-// partitions: the spill table keeps a running digest as it appends.
-func (b *buildTable) digest() uint64 {
-	if b.sp != nil {
-		return b.sp.Digest()
-	}
-	return digestRelation(b.rel)
-}
-
 // digestValues fingerprints an extraction stream's resolved feature
 // values in subject order.
 func digestValues(values []map[string]string, fields []string) uint64 {

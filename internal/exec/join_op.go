@@ -1,19 +1,20 @@
 // Streaming crowd join. The build (right) side is always materialized
-// — a block nested loop needs one full side; under
-// Options.BreakerMemTuples it spills to disk partitions, bounding
-// memory at O(cap) tuples. With a per-pair interface (Simple/
-// NaiveBatch) the probe (left) side streams — including when POSSIBLY
-// features are present: the probe side's extraction HITs are minted
-// per arriving batch and posted through the chunked poster, the build
-// side's extraction posts through the same poster, and pair
-// generation consumes probe tuples as their feature votes resolve. A
-// filtered join therefore pipelines end to end, and extraction
-// inherits the refusal/expiry retry policies. SmartBatch grid layout
-// and automatic feature selection still need a global view of the
-// candidates, so those paths materialize the probe side too (memory
-// O(|R|+|S|)) and then extract through the same streams; posting and
-// collection stay chunked and incremental either way, which is what
-// lets LIMIT stop the spend and cancellation stop the wait.
+// — a block nested loop needs one full side — into a spill table: in
+// memory at Options.BreakerMemTuples 0, and in disk partitions of cap
+// tuples, bounding memory at O(cap), when the cap is positive. With a
+// per-pair interface (Simple/NaiveBatch) the probe (left) side
+// streams — including when POSSIBLY features are present: the probe
+// side's extraction HITs are minted per arriving batch and posted
+// through the chunked poster, the build side's extraction posts
+// through the same poster, and pair generation consumes probe tuples
+// as their feature votes resolve. A filtered join therefore pipelines
+// end to end, and extraction inherits the refusal/expiry retry
+// policies. SmartBatch grid layout and automatic feature selection
+// still need a global view of the candidates, so those paths
+// materialize the probe side too (memory O(|R|+|S|)) and then extract
+// through the same streams; posting and collection stay chunked and
+// incremental either way, which is what lets LIMIT stop the spend and
+// cancellation stop the wait.
 package exec
 
 import (
@@ -115,7 +116,7 @@ func (j *crowdJoinOp) OpLabel() string          { return j.label + " [" + j.phys
 func (j *crowdJoinOp) Inputs() []Operator       { return []Operator{j.left, j.right} }
 
 // Breakers implements BreakerDetail: the build side always
-// materializes (spilling past Options.BreakerMemTuples when set);
+// materializes (spilling past a positive Options.BreakerMemTuples);
 // grid layout and automatic feature selection also materialize the
 // probe side; a stateful combiner additionally buffers all pair votes.
 func (j *crowdJoinOp) Breakers() []BreakerInfo {
@@ -277,7 +278,7 @@ func (j *crowdJoinOp) start(ctx context.Context) error {
 		}
 		// Durable runs checkpoint the materialized build side (spilled
 		// partitions keep a running digest, so this is free of re-reads).
-		if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", right.digest(), rReady); err != nil {
+		if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", right.Digest(), rReady); err != nil {
 			return err
 		}
 		j.rightRel = right
@@ -309,8 +310,7 @@ func (j *crowdJoinOp) start(ctx context.Context) error {
 	if rerr != nil {
 		return rerr
 	}
-	j.rightRel = memBuildTable(right)
-	if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", j.rightRel.digest(), rReady); err != nil {
+	if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", digestRelation(right), rReady); err != nil {
 		return err
 	}
 	j.clock = lReady

@@ -1,22 +1,22 @@
 // Sort operators. Both are pipeline breakers: a sort cannot emit its
-// first row before seeing its last input row. With
-// Options.BreakerMemTuples set they spill to disk — the machine sort
-// becomes an external merge sort and the crowd sort externally
-// partitions its input by the machine-sortable prefix columns — so
-// memory drops from O(input) to O(cap) tuples (one crowd-sorted group
-// still materializes while its HITs are in flight). CrowdOrderBy
-// streams its *output* either way: groups are emitted group by group,
-// each as soon as its crowd sort settles, so a downstream LIMIT over a
-// grouped sort stops paying for later groups. Crowd sort rounds post
-// through the chunked poster (exec.crowdSort), inheriting the
-// refusal/expiry retry policies and overlapping posting with vote
-// collection inside each group.
+// first row before seeing its last input row. Both materialize through
+// one code path, a spill.Sorter capped at Options.BreakerMemTuples:
+// the machine sort is a merge sort over sorted runs, and the crowd sort
+// partitions its input by the machine-sortable prefix columns. At cap 0
+// the input stays one in-memory run and no file is written; a positive
+// cap spills runs to disk, so memory drops from O(input) to O(cap)
+// tuples (one crowd-sorted group still materializes while its HITs are
+// in flight). Output is identical at any cap. CrowdOrderBy streams its
+// *output*: groups are emitted group by group, each as soon as its
+// crowd sort settles, so a downstream LIMIT over a grouped sort stops
+// paying for later groups. Crowd sort rounds post through the chunked
+// poster (exec.crowdSort), inheriting the refusal/expiry retry policies
+// and overlapping posting with vote collection inside each group.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"qurk/internal/core"
 	"qurk/internal/cost"
@@ -34,16 +34,13 @@ type crowdOrderByOp struct {
 	child  Operator
 	closed bool
 
-	// in-memory grouping (BreakerMemTuples unset)
-	groups []*relation.Relation
-	// spilled grouping: the input is externally sorted by group key —
-	// computed once per tuple and carried as a hidden leading column
-	// through the run files, so comparisons never rebuild it — and
-	// groups are cut from the merged stream one at a time.
-	sorter    *spill.Sorter
-	iter      *spill.Iter
-	keySchema *relation.Schema
-	peek      *relation.Tuple // held-back first (keyed) tuple of the next group
+	// grouping: the input is sorted by group key — computed once per
+	// tuple and carried as a hidden leading column through the runs, so
+	// comparisons never rebuild it — and groups are cut from the merged
+	// stream one at a time.
+	sorter *spill.Sorter
+	iter   *spill.Iter
+	peek   *relation.Tuple // held-back first (keyed) tuple of the next group
 
 	// windowed sub-sorts (Options.SplitSortGroups): an oversized
 	// group's windows re-sort through a second external sorter keyed on
@@ -129,126 +126,48 @@ func (o *crowdOrderByOp) groupKey(t relation.Tuple) (string, error) {
 	return key, nil
 }
 
-// start drains the input and splits it into groups by the prefix
-// columns, ordered by group key. With a memory cap the split is an
-// external stable sort on the key: the merged stream yields the same
-// groups in the same order as the in-memory index, O(cap) at a time.
+// start drains the input into a sorter keyed on the group key, so the
+// merged stream yields the groups in key order, each group's rows in
+// input order. Memory is O(cap) tuples when Options.BreakerMemTuples
+// is positive and O(input) at 0.
 func (o *crowdOrderByOp) start(ctx context.Context) error {
 	o.started = true
-	cap := o.x.eng.Options.BreakerMemTuples
-	if cap > 0 {
-		// Hidden leading key column: computed once per tuple at drain
-		// time, compared by payload during the external sort, stripped
-		// when groups are cut.
-		cols := append([]relation.Column{{Name: "\x00groupkey", Kind: relation.KindText}},
-			o.child.Schema().Columns()...)
-		keySchema, err := relation.NewSchema(cols...)
-		if err != nil {
-			return err
-		}
-		o.keySchema = keySchema
-		less := func(a, b relation.Tuple) bool { return a.At(0).Text() < b.At(0).Text() }
-		sorter, err := spill.NewSorter(keySchema, cap, less)
-		if err != nil {
-			return err
-		}
-		o.sorter = sorter
-		for {
-			b, err := o.child.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			for _, t := range b.Rows() {
-				key, err := o.groupKey(t)
-				if err != nil {
-					return err
-				}
-				vals := make([]relation.Value, 0, t.Len()+1)
-				vals = append(vals, relation.Text(key))
-				for c := 0; c < t.Len(); c++ {
-					vals = append(vals, t.At(c))
-				}
-				kt, err := relation.NewTuple(keySchema, vals...)
-				if err != nil {
-					return err
-				}
-				if err := o.sorter.Add(kt); err != nil {
-					return err
-				}
-			}
-			if b.Ready > o.clock {
-				o.clock = b.Ready
-			}
-		}
-		if cr := readyOf(o.child); cr > o.clock {
-			o.clock = cr
-		}
-		it, err := o.sorter.Sort()
-		if err != nil {
-			return err
-		}
-		o.iter = it
-		return nil
-	}
-
-	in, ready, err := drainRelation(ctx, o.child)
+	keySchema, err := o.leadSchema("\x00groupkey", relation.KindText)
 	if err != nil {
 		return err
 	}
-	o.clock = ready
-	type group struct {
-		key  string
-		rows []int
+	less := func(a, b relation.Tuple) bool { return a.At(0).Text() < b.At(0).Text() }
+	if o.sorter, err = spill.NewSorter(keySchema, o.x.eng.Options.BreakerMemTuples, less); err != nil {
+		return err
 	}
-	var groups []group
-	idx := map[string]int{}
-	for i := 0; i < in.Len(); i++ {
-		key, err := o.groupKey(in.Row(i))
+	o.clock, err = drainEach(ctx, o.child, func(t relation.Tuple) error {
+		key, err := o.groupKey(t)
 		if err != nil {
 			return err
 		}
-		gi, ok := idx[key]
-		if !ok {
-			gi = len(groups)
-			idx[key] = gi
-			groups = append(groups, group{key: key})
+		kt, err := withLead(keySchema, relation.Text(key), t)
+		if err != nil {
+			return err
 		}
-		groups[gi].rows = append(groups[gi].rows, i)
+		return o.sorter.Add(kt)
+	})
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(groups, func(a, b int) bool { return groups[a].key < groups[b].key })
-	for _, g := range groups {
-		sub := relation.New(in.Name(), in.Schema())
-		for _, ri := range g.rows {
-			if err := sub.Append(in.Row(ri)); err != nil {
-				return err
-			}
-		}
-		o.groups = append(o.groups, sub)
-	}
-	return nil
+	o.iter, err = o.sorter.Sort()
+	return err
 }
 
 // nextGroup returns the next crowd-sort unit and whether the current
 // group continues past it: a whole group normally, or — with
-// Options.SplitSortGroups on the spilled path — the group's next
-// window of at most BreakerMemTuples tuples (more=true until the
-// group's last window). nil at end of input.
+// Options.SplitSortGroups and a positive BreakerMemTuples — the
+// group's next window of at most BreakerMemTuples tuples (more=true
+// until the group's last window). nil at end of input.
 func (o *crowdOrderByOp) nextGroup() (sub *relation.Relation, more bool, err error) {
-	if o.sorter == nil {
-		if o.gi >= len(o.groups) {
-			return nil, false, nil
-		}
-		g := o.groups[o.gi]
-		o.groups[o.gi] = nil
-		return g, false, nil
-	}
-	// Spilled path: cut the next run of equal keys from the merged
-	// stream, holding back the first tuple of the following group (or
-	// the current group's next window). The hidden key column (ordinal
-	// 0) is stripped as rows re-enter the child schema.
+	// Cut the next run of equal keys from the merged stream, holding
+	// back the first tuple of the following group (or the current
+	// group's next window). The hidden key column (ordinal 0) is
+	// stripped as rows re-enter the child schema.
 	winCap := 0
 	if o.x.eng.Options.SplitSortGroups {
 		winCap = o.x.eng.Options.BreakerMemTuples
@@ -267,7 +186,7 @@ func (o *crowdOrderByOp) nextGroup() (sub *relation.Relation, more bool, err err
 	}
 	key := first.At(0).Text()
 	sub = relation.New(o.child.Name(), o.child.Schema())
-	if err := sub.Append(o.stripKey(*first)); err != nil {
+	if err := sub.Append(o.stripLead(*first)); err != nil {
 		return nil, false, err
 	}
 	for {
@@ -286,7 +205,7 @@ func (o *crowdOrderByOp) nextGroup() (sub *relation.Relation, more bool, err err
 			o.peek = &t
 			return sub, true, nil
 		}
-		if err := sub.Append(o.stripKey(t)); err != nil {
+		if err := sub.Append(o.stripLead(t)); err != nil {
 			return nil, false, err
 		}
 	}
@@ -332,8 +251,23 @@ func (o *crowdOrderByOp) replanGroup(sub *relation.Relation, path string) (plan.
 	return phys, nil
 }
 
-// stripKey drops the hidden leading key column.
-func (o *crowdOrderByOp) stripKey(t relation.Tuple) relation.Tuple {
+// leadSchema is the child schema behind one hidden leading column.
+func (o *crowdOrderByOp) leadSchema(name string, kind relation.Kind) (*relation.Schema, error) {
+	return relation.NewSchema(append([]relation.Column{{Name: name, Kind: kind}}, o.child.Schema().Columns()...)...)
+}
+
+// withLead prepends the hidden leading value v to t under schema s.
+func withLead(s *relation.Schema, v relation.Value, t relation.Tuple) (relation.Tuple, error) {
+	vals := make([]relation.Value, 0, t.Len()+1)
+	vals = append(vals, v)
+	for c := 0; c < t.Len(); c++ {
+		vals = append(vals, t.At(c))
+	}
+	return relation.NewTuple(s, vals...)
+}
+
+// stripLead drops the hidden leading column (group key or window rank).
+func (o *crowdOrderByOp) stripLead(t relation.Tuple) relation.Tuple {
 	vals := make([]relation.Value, 0, t.Len()-1)
 	for c := 1; c < t.Len(); c++ {
 		vals = append(vals, t.At(c))
@@ -354,29 +288,19 @@ func (o *crowdOrderByOp) stripKey(t relation.Tuple) relation.Tuple {
 // keep window order via the sorter's stable run tie-breaks.
 func (o *crowdOrderByOp) addScoredWindow(sub *relation.Relation, order []int) error {
 	if o.winSorter == nil {
-		cols := append([]relation.Column{{Name: "\x00rank", Kind: relation.KindFloat}},
-			o.child.Schema().Columns()...)
-		rankSchema, err := relation.NewSchema(cols...)
+		rankSchema, err := o.leadSchema("\x00rank", relation.KindFloat)
 		if err != nil {
 			return err
 		}
 		o.rankSchema = rankSchema
 		less := func(a, b relation.Tuple) bool { return a.At(0).Float() < b.At(0).Float() }
-		ws, err := spill.NewSorter(rankSchema, o.x.eng.Options.BreakerMemTuples, less)
-		if err != nil {
+		if o.winSorter, err = spill.NewSorter(rankSchema, o.x.eng.Options.BreakerMemTuples, less); err != nil {
 			return err
 		}
-		o.winSorter = ws
 	}
 	m := float64(len(order) + 1)
 	for pos, ri := range order {
-		t := sub.Row(ri)
-		vals := make([]relation.Value, 0, t.Len()+1)
-		vals = append(vals, relation.Float(float64(pos+1)/m))
-		for c := 0; c < t.Len(); c++ {
-			vals = append(vals, t.At(c))
-		}
-		rt, err := relation.NewTuple(o.rankSchema, vals...)
+		rt, err := withLead(o.rankSchema, relation.Float(float64(pos+1)/m), sub.Row(ri))
 		if err != nil {
 			return err
 		}
@@ -385,19 +309,6 @@ func (o *crowdOrderByOp) addScoredWindow(sub *relation.Relation, order []int) er
 		}
 	}
 	return nil
-}
-
-// stripRank drops the hidden leading rank column.
-func (o *crowdOrderByOp) stripRank(t relation.Tuple) relation.Tuple {
-	vals := make([]relation.Value, 0, t.Len()-1)
-	for c := 1; c < t.Len(); c++ {
-		vals = append(vals, t.At(c))
-	}
-	out, err := relation.NewTuple(o.child.Schema(), vals...)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 func (o *crowdOrderByOp) Next(ctx context.Context) (*Batch, error) {
@@ -419,27 +330,13 @@ func (o *crowdOrderByOp) Next(ctx context.Context) (*Batch, error) {
 		}
 		// Drain a completed windowed merge in bounded batches.
 		if o.winIter != nil {
-			n := o.size
-			if n <= 0 {
-				n = 1 << 30
+			b, done, err := iterBatch(o.winIter, o.Schema(), o.size, o.clock, o.stripLead)
+			if done {
+				o.releaseWindows()
 			}
-			cols := relation.NewColumnBatch(o.Schema(), o.size)
-			for cols.Len() < n {
-				t, ok, err := o.winIter.Next()
-				if err != nil {
-					cols.Release()
-					return nil, err
-				}
-				if !ok {
-					o.releaseWindows()
-					break
-				}
-				cols.AppendTuple(o.stripRank(t))
+			if b != nil || err != nil {
+				return b, err
 			}
-			if cols.Len() > 0 {
-				return newBatch(cols, o.clock), nil
-			}
-			cols.Release()
 			continue
 		}
 		if o.closed {
@@ -518,9 +415,8 @@ type machineOrderByOp struct {
 	cap     int
 	closed  bool
 	started bool
-	out     *scanOp
-	spilled *spill.Iter
 	sorter  *spill.Sorter
+	iter    *spill.Iter
 	ready   float64
 }
 
@@ -547,14 +443,15 @@ func (o *machineOrderByOp) Close() {
 	if !o.closed {
 		o.closed = true
 		o.child.Close()
-		o.releaseSpill()
+		o.release()
 	}
 }
 
-func (o *machineOrderByOp) releaseSpill() {
-	if o.spilled != nil {
-		o.spilled.Close()
-		o.spilled = nil
+// release frees the sorter and its merge stream.
+func (o *machineOrderByOp) release() {
+	if o.iter != nil {
+		o.iter.Close()
+		o.iter = nil
 	}
 	if o.sorter != nil {
 		o.sorter.Close()
@@ -585,78 +482,56 @@ func (o *machineOrderByOp) Next(ctx context.Context) (*Batch, error) {
 				return nil, fmt.Errorf("exec: ORDER BY column %q not found", col)
 			}
 		}
-		if o.cap > 0 {
-			sorter, err := spill.NewSorter(o.child.Schema(), o.cap, o.less)
-			if err != nil {
-				return nil, err
-			}
-			o.sorter = sorter
-			for {
-				b, err := o.child.Next(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				for _, t := range b.Rows() {
-					if err := o.sorter.Add(t); err != nil {
-						return nil, err
-					}
-				}
-				if b.Ready > o.ready {
-					o.ready = b.Ready
-				}
-			}
-			if cr := readyOf(o.child); cr > o.ready {
-				o.ready = cr
-			}
-			it, err := o.sorter.Sort()
-			if err != nil {
-				return nil, err
-			}
-			o.spilled = it
-		} else {
-			in, ready, err := drainRelation(ctx, o.child)
-			if err != nil {
-				return nil, err
-			}
-			o.out = newScanOp(in.SortBy(o.less), o.size)
-			o.ready = ready
+		var err error
+		if o.sorter, err = spill.NewSorter(o.child.Schema(), o.cap, o.less); err != nil {
+			return nil, err
+		}
+		if o.ready, err = drainEach(ctx, o.child, o.sorter.Add); err != nil {
+			return nil, err
+		}
+		if o.iter, err = o.sorter.Sort(); err != nil {
+			return nil, err
 		}
 	}
-	if o.closed {
+	if o.closed || o.iter == nil {
 		return nil, nil
 	}
-	if o.cap > 0 {
-		if o.spilled == nil {
-			return nil, nil
-		}
-		n := o.size
-		if n <= 0 {
-			n = 1 << 30
-		}
-		cols := relation.NewColumnBatch(o.child.Schema(), o.size)
-		for cols.Len() < n {
-			t, ok, err := o.spilled.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				o.releaseSpill()
-				break
-			}
-			cols.AppendTuple(t)
-		}
-		if cols.Len() == 0 {
-			cols.Release()
-			return nil, nil
-		}
-		return newBatch(cols, o.ready), nil
-	}
-	b, err := o.out.Next(ctx)
-	if b != nil {
-		b.Ready = o.ready
+	b, done, err := iterBatch(o.iter, o.child.Schema(), o.size, o.ready, nil)
+	if done {
+		o.release()
 	}
 	return b, err
+}
+
+// iterBatch reads up to size tuples (all of them when size <= 0) of a
+// merged sort stream into one batch stamped ready, passing each through
+// conv when it is set. It returns a nil batch once the stream has no
+// more tuples; done reports that the stream ended, so the caller can
+// release it. The batch is released on every error.
+func iterBatch(it *spill.Iter, schema *relation.Schema, size int, ready float64, conv func(relation.Tuple) relation.Tuple) (b *Batch, done bool, err error) {
+	n := size
+	if n <= 0 {
+		n = 1 << 30
+	}
+	cols := relation.NewColumnBatch(schema, size)
+	for cols.Len() < n {
+		t, ok, err := it.Next()
+		if err != nil {
+			cols.Release()
+			return nil, false, err
+		}
+		if !ok {
+			done = true
+			break
+		}
+		if conv != nil {
+			t = conv(t)
+		}
+		cols.AppendTuple(t)
+	}
+	if cols.Len() == 0 {
+		cols.Release()
+		return nil, done, nil
+	}
+	return newBatch(cols, ready), done, nil
 }

@@ -1,8 +1,8 @@
-// Spill-aware materialization for pipeline breakers. With
-// Options.BreakerMemTuples set, the join's build side and the sorts'
-// inputs hold at most that many tuples in memory and spill the rest to
-// temporary run files (internal/spill); results are bit-identical to
-// the in-memory paths at any cap.
+// The join's build side materializes through one code path, a
+// spill.Table capped at Options.BreakerMemTuples. At cap 0 every tuple
+// stays in memory and no file is written; a positive cap spills full
+// partitions to temporary run files (internal/spill). Rows and the
+// checkpoint digest are identical at any cap.
 package exec
 
 import (
@@ -12,85 +12,38 @@ import (
 	"qurk/internal/spill"
 )
 
-// buildTable is the join's materialized build side: an in-memory
-// relation when Options.BreakerMemTuples is unset, a partitioned spill
-// table otherwise. Row is error-latching so the join's tight pair
-// loops stay simple; callers surface Err once per step.
+// buildTable is the join's materialized build side. Row is
+// error-latching so the join's tight pair loops stay simple; callers
+// surface Err once per step. Digest fingerprints the rows in append
+// order without re-reading spilled partitions.
 type buildTable struct {
-	rel *relation.Relation
-	sp  *spill.Table
+	*spill.Table
 	err error
 }
-
-// memBuildTable wraps an already-materialized relation.
-func memBuildTable(rel *relation.Relation) *buildTable { return &buildTable{rel: rel} }
 
 // drainBuildTable materializes op, spilling past cap tuples when cap
 // is positive.
 func drainBuildTable(ctx context.Context, op Operator, cap int) (*buildTable, float64, error) {
-	if cap <= 0 {
-		rel, ready, err := drainRelation(ctx, op)
-		if err != nil {
-			return nil, 0, err
-		}
-		return memBuildTable(rel), ready, nil
-	}
 	sp, err := spill.NewTable(op.Name(), op.Schema(), cap)
 	if err != nil {
 		return nil, 0, err
 	}
-	ready := 0.0
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			sp.Close()
-			return nil, 0, err
-		}
-		if b == nil {
-			break
-		}
-		for _, t := range b.Rows() {
-			if err := sp.Append(t); err != nil {
-				sp.Close()
-				return nil, 0, err
-			}
-		}
-		if b.Ready > ready {
-			ready = b.Ready
-		}
+	ready, err := drainEach(ctx, op, sp.Append)
+	if err != nil {
+		sp.Close()
+		return nil, 0, err
 	}
-	if cr := readyOf(op); cr > ready {
-		ready = cr
-	}
-	return &buildTable{sp: sp}, ready, nil
-}
-
-// Len is the build side's tuple count.
-func (b *buildTable) Len() int {
-	if b.sp != nil {
-		return b.sp.Len()
-	}
-	return b.rel.Len()
+	return &buildTable{Table: sp}, ready, nil
 }
 
 // Row returns tuple i; spill read errors latch into Err.
 func (b *buildTable) Row(i int) relation.Tuple {
-	if b.sp != nil {
-		t, err := b.sp.Row(i)
-		if err != nil && b.err == nil {
-			b.err = err
-		}
-		return t
+	t, err := b.Table.Row(i)
+	if err != nil && b.err == nil {
+		b.err = err
 	}
-	return b.rel.Row(i)
+	return t
 }
 
 // Err reports the first spill read error, if any.
 func (b *buildTable) Err() error { return b.err }
-
-// Close removes spill files.
-func (b *buildTable) Close() {
-	if b.sp != nil {
-		b.sp.Close()
-	}
-}

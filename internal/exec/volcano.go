@@ -496,41 +496,34 @@ func (c *concurrentOp) Close() {
 
 // --- Helpers ---
 
-// drain pulls op to exhaustion, returning all tuples and the time the
-// last batch became available. Used by pipeline breakers; memory is
-// O(input).
-func drain(ctx context.Context, op Operator) ([]relation.Tuple, float64, error) {
-	var tuples []relation.Tuple
+// drainEach pulls op to exhaustion, handing each tuple to add, and
+// returns the time the last batch became available. Pipeline breakers
+// fill their materialized state with it.
+func drainEach(ctx context.Context, op Operator, add func(relation.Tuple) error) (float64, error) {
 	ready := 0.0
 	for {
 		b, err := op.Next(ctx)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if b == nil {
-			if cr := readyOf(op); cr > ready {
-				ready = cr
+			return max(ready, readyOf(op)), nil
+		}
+		for _, t := range b.Rows() {
+			if err := add(t); err != nil {
+				return 0, err
 			}
-			return tuples, ready, nil
 		}
-		tuples = append(tuples, b.Rows()...)
-		if b.Ready > ready {
-			ready = b.Ready
-		}
+		ready = max(ready, b.Ready)
 	}
 }
 
 // drainRelation materializes op into a relation.
 func drainRelation(ctx context.Context, op Operator) (*relation.Relation, float64, error) {
-	tuples, ready, err := drain(ctx, op)
+	rel := relation.New(op.Name(), op.Schema())
+	ready, err := drainEach(ctx, op, rel.Append)
 	if err != nil {
 		return nil, 0, err
-	}
-	rel := relation.New(op.Name(), op.Schema())
-	for _, t := range tuples {
-		if err := rel.Append(t); err != nil {
-			return nil, 0, err
-		}
 	}
 	return rel, ready, nil
 }

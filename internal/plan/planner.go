@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qurk/internal/core"
 	"qurk/internal/join"
 	"qurk/internal/query"
 	"qurk/internal/task"
@@ -33,6 +34,17 @@ func BuildQuery(src string, tasks TaskSource) (Node, error) {
 		return nil, err
 	}
 	return Build(stmt, tasks)
+}
+
+// BuildPinned builds src's plan and pins opts into it (see Pin): the
+// one tree a query is both priced on and run as.
+func BuildPinned(src string, tasks TaskSource, opts core.Options) (Node, error) {
+	root, err := BuildQuery(src, tasks)
+	if err != nil {
+		return nil, err
+	}
+	Pin(root, opts)
+	return root, nil
 }
 
 type planner struct {

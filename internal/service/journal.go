@@ -227,12 +227,11 @@ func (s *Service) recoverOne(id string) {
 	// ledger keeps them even if the query no longer builds (a task
 	// dropped from the library, say). Such a query fails alone; its
 	// journal stays unsealed, so a later boot can still resume it.
-	root, err := plan.BuildQuery(m.Query, eng.Library)
+	root, err := plan.BuildPinned(m.Query, eng.Library, eng.Options)
 	if err != nil {
 		fail(m, StateFailed, err)
 		return
 	}
-	plan.Pin(root, eng.Options)
 
 	s.wireJournal(j, gate, eng)
 	ctx, q := s.register(id, tenant.ID, m.Backend, m.Query, eng, j)

@@ -448,11 +448,10 @@ func (s *Service) newEngine(gate *BudgetGate, opts core.Options) *core.Engine {
 // plan that runs. Parse and plan errors reject the submission here,
 // synchronously, rather than as a failed background query.
 func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) (plan.Node, error) {
-	root, err := plan.BuildQuery(src, eng.Library)
+	root, err := plan.BuildPinned(src, eng.Library, eng.Options)
 	if err != nil {
 		return nil, err
 	}
-	plan.Pin(root, eng.Options)
 	// A store-seeded estimate lets a second submission of a workload
 	// the store has seen get a truer budget check before running.
 	cp, err := plan.OptimizeFor(eng, root, 0)

@@ -1,12 +1,14 @@
-// Package spill gives the executor's pipeline breakers a bounded-memory
-// backing store: relations larger than a configured tuple cap are
-// written to temporary run files (binary, CRC-framed — see codec.go)
-// and read back either partition by partition (Table — the join's build
-// side) or as a k-way stable merge of sorted runs (Sorter — external
-// sort for ORDER BY and group partitioning). Everything is stdlib-only
-// and deterministic: run boundaries are count-based, merges tie-break
-// by run index, so a spilling operator produces bit-identical output to
-// its in-memory twin at any cap.
+// Package spill is the one materialization path of the executor's
+// sorts and of the join's build side: relations larger than a
+// configured tuple cap are written to temporary run files (binary,
+// CRC-framed — see codec.go) and read back either partition by
+// partition (Table — the join's build side) or as a k-way stable merge
+// of sorted runs (Sorter — ORDER BY and group partitioning). A cap of
+// 0 or less never spills: everything stays in one in-memory run, and
+// no temporary directory or run file is created. Everything is
+// stdlib-only and deterministic: run boundaries are count-based and
+// merges tie-break by run index, so the output is bit-identical at any
+// cap.
 package spill
 
 import (
@@ -96,10 +98,9 @@ func tempDir(current *string) (string, error) {
 // --- Digest: order-sensitive state fingerprint ---
 
 // digestMix folds one tuple key into a running order-sensitive
-// fingerprint (FNV-1a step over the key's bytes, conceptually). Both
-// Table and Sorter expose the running value so pipeline breakers can
-// checkpoint their materialized state into a write-ahead journal
-// without a second pass over spilled runs.
+// fingerprint (FNV-1a step over the key's bytes, conceptually). Table
+// exposes the running value so the join can checkpoint its build side
+// into a write-ahead journal without a second pass over spilled runs.
 func digestMix(dig, key uint64) uint64 {
 	const prime64 = 1099511628211
 	if dig == 0 {
@@ -117,7 +118,8 @@ func digestMix(dig, key uint64) uint64 {
 // Table is an append-only tuple store holding at most cap tuples in
 // memory; full partitions spill to disk and are reloaded one at a time
 // on access. Sequential scans (the join's repeated build-side passes)
-// therefore run in O(cap) memory.
+// therefore run in O(cap) memory. With cap <= 0 every tuple stays in
+// memory.
 type Table struct {
 	name   string
 	schema *relation.Schema
@@ -131,11 +133,9 @@ type Table struct {
 	dig    uint64 // running append-order fingerprint
 }
 
-// NewTable builds a table spilling past cap tuples (cap must be > 0).
+// NewTable builds a table spilling past cap tuples; cap <= 0 never
+// spills and writes no file. The error is always nil.
 func NewTable(name string, schema *relation.Schema, cap int) (*Table, error) {
-	if cap <= 0 {
-		return nil, fmt.Errorf("spill: table cap must be positive, got %d", cap)
-	}
 	return &Table{name: name, schema: schema, cap: cap, loaded: -1}, nil
 }
 
@@ -157,7 +157,7 @@ func (t *Table) Append(tp relation.Tuple) error {
 	t.tail = append(t.tail, tp)
 	t.total++
 	t.dig = digestMix(t.dig, tp.Key())
-	if len(t.tail) < t.cap {
+	if t.cap <= 0 || len(t.tail) < t.cap {
 		return nil
 	}
 	dir, err := tempDir(&t.dir)
@@ -176,10 +176,10 @@ func (t *Table) Append(tp relation.Tuple) error {
 // Row returns tuple i. Access is optimized for sequential scans: the
 // partition holding i stays cached until a different one is touched.
 func (t *Table) Row(i int) (relation.Tuple, error) {
-	part := i / t.cap
-	if part >= len(t.parts) {
-		return t.tail[i-len(t.parts)*t.cap], nil
+	if spilled := len(t.parts) * t.cap; i >= spilled {
+		return t.tail[i-spilled], nil
 	}
+	part := i / t.cap
 	if t.loaded != part {
 		r, err := openRun(t.parts[part], t.schema)
 		if err != nil {
@@ -222,7 +222,7 @@ const mergeFanIn = 64
 // less function, holding at most cap tuples in memory: full runs are
 // stable-sorted and spilled, then merged k-way with ties broken by run
 // order — so the output is bit-identical to sort.SliceStable over the
-// whole input.
+// whole input. With cap <= 0 the input is one in-memory run.
 type Sorter struct {
 	schema *relation.Schema
 	cap    int
@@ -231,32 +231,18 @@ type Sorter struct {
 	runs   []string
 	runSeq int
 	mem    []relation.Tuple
-	total  int
-	dig    uint64 // running add-order fingerprint
 }
 
-// NewSorter builds an external sorter spilling past cap tuples
-// (cap must be > 0).
+// NewSorter builds a sorter spilling runs past cap tuples; cap <= 0
+// never spills and writes no file. The error is always nil.
 func NewSorter(schema *relation.Schema, cap int, less func(a, b relation.Tuple) bool) (*Sorter, error) {
-	if cap <= 0 {
-		return nil, fmt.Errorf("spill: sorter cap must be positive, got %d", cap)
-	}
 	return &Sorter{schema: schema, cap: cap, less: less}, nil
 }
-
-// Len is the total tuple count added so far.
-func (s *Sorter) Len() int { return s.total }
-
-// Digest is an order-sensitive fingerprint of every tuple added so
-// far; durable runs checkpoint it at pipeline breakers.
-func (s *Sorter) Digest() uint64 { return s.dig }
 
 // Add accepts one tuple in input order.
 func (s *Sorter) Add(t relation.Tuple) error {
 	s.mem = append(s.mem, t)
-	s.total++
-	s.dig = digestMix(s.dig, t.Key())
-	if len(s.mem) < s.cap {
+	if s.cap <= 0 || len(s.mem) < s.cap {
 		return nil
 	}
 	return s.spillRun()

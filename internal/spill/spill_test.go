@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -129,6 +130,76 @@ func TestSorterMatchesSliceStable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCapZeroNeverSpills: at cap 0 the Sorter keeps its input as one
+// in-memory run and the Table as one partition, so no temporary
+// directory is created; the Sorter still returns sort.SliceStable's
+// order and the Table the input rows.
+func TestCapZeroNeverSpills(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	s := testSchema(t)
+	less := func(a, b relation.Tuple) bool { return a.MustGet("k").Int() < b.MustGet("k").Int() }
+	sorter, err := NewSorter(s, 0, less)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sorter.Close()
+	tb, err := NewTable("t", s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	rng := rand.New(rand.NewSource(9))
+	var in []relation.Tuple
+	for i := 0; i < 300; i++ {
+		tp := testTuple(t, s, rng.Intn(50))
+		in = append(in, tp)
+		if err := sorter.Add(tp); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Append(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range in {
+		got, err := tb.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Fatalf("table row %d = %v, want %v", i, got, want)
+		}
+	}
+	want := append([]relation.Tuple(nil), in...)
+	sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
+	it, err := sorter.Sort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for i := 0; ; i++ {
+		got, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(want) {
+				t.Fatalf("sorter returned %d tuples, want %d", i, len(want))
+			}
+			break
+		}
+		if !want[i].Equal(got) {
+			t.Fatalf("sorted row %d = %v, want %v", i, got, want[i])
+		}
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Errorf("cap 0 wrote to the temporary directory: %v (err %v)", entries, err)
+	}
+	if sorter.dir != "" || tb.dir != "" {
+		t.Errorf("cap 0 created spill directories %q and %q", sorter.dir, tb.dir)
 	}
 }
 

@@ -251,7 +251,7 @@ var (
 	CompilePlan = exec.Compile
 	// DescribePipeline renders a compiled operator tree, marking each
 	// pipeline breaker with its memory bound ("spills at N tuples"
-	// when Options.BreakerMemTuples is set).
+	// when Options.BreakerMemTuples is positive).
 	DescribePipeline = exec.Describe
 	// PipelineBreakers lists a compiled operator tree's breakers
 	// machine-readably (kind, in-memory tuple bound, whether it

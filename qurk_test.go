@@ -69,6 +69,35 @@ AND POSSIBLY gender(c.img) = gender(p.img)`)
 	}
 }
 
+// TestExplainShowsThePlanRunRuns: Explain prices the tree Run executes
+// — the client's options pinned into the plan — not the free
+// optimizer's choice. With default options a 40-square ORDER BY runs
+// Compare S=5 at 97 HITs, and Explain must say so.
+func TestExplainShowsThePlanRunRuns(t *testing.T) {
+	d, err := OpenDataset("squares", 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(NewSimMarket(DefaultMarketConfig(1), d.Oracle), WithDataset(d))
+	const query = `SELECT label FROM squares ORDER BY squareSorter(img)`
+	rendered, err := client.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Compare S=5", "est 97 HITs"} {
+		if !strings.Contains(rendered, want) {
+			t.Errorf("explain missing %q:\n%s", want, rendered)
+		}
+	}
+	_, stats, err := client.Run(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.TotalHITs(); got != 97 {
+		t.Errorf("run posted %d HITs, want the 97 Explain priced", got)
+	}
+}
+
 func TestFacadeDirectOperators(t *testing.T) {
 	sq := NewSquares(10)
 	market := NewSimMarket(DefaultMarketConfig(3), sq.Oracle())
