@@ -184,13 +184,15 @@ type Options struct {
 	// BreakerMemTuples caps the tuples a pipeline breaker holds in
 	// memory (0 = unlimited). It sets a cap only; it selects no code:
 	// the machine sort, the crowd sort's partitioning by group key, and
-	// the crowd join's build side always materialize through
+	// every crowd join's build side — whatever its interface, feature
+	// filtering or §3.2 selection — always materialize through
 	// internal/spill. At 0 they keep one in-memory run and write no
 	// file; with a positive cap full runs spill to temp-dir run files,
 	// merged k-way with deterministic tie-breaks, so results are
-	// bit-identical at any cap. One crowd-sorted group (and the
-	// streaming operators' own in-flight bookkeeping) still
-	// materializes in memory.
+	// bit-identical at any cap. One crowd-sorted group, a SmartBatch
+	// join's surviving pairs awaiting grid layout, the probe side of a
+	// join awaiting §3.2 selection, and the streaming operators' own
+	// in-flight bookkeeping still materialize in memory.
 	BreakerMemTuples int
 	// SplitSortGroups bounds crowd-sort memory for oversized groups:
 	// with BreakerMemTuples > 0, a group larger than the cap splits

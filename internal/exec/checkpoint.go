@@ -86,15 +86,6 @@ func digestSortGroup(order []int, sub *relation.Relation) uint64 {
 	return dig
 }
 
-// digestRelation fingerprints a materialized relation in row order.
-func digestRelation(rel *relation.Relation) uint64 {
-	var dig uint64
-	for i := 0; i < rel.Len(); i++ {
-		dig = fnvFold(dig, rel.Row(i).Key())
-	}
-	return dig
-}
-
 // digestValues fingerprints an extraction stream's resolved feature
 // values in subject order.
 func digestValues(values []map[string]string, fields []string) uint64 {

@@ -401,9 +401,8 @@ func (x *executor) build(node plan.Node, path string) (Operator, error) {
 			// Exchange-wrap the probe subtree so it makes crowd progress
 			// while the build side materializes (paper §2.5's pipelined,
 			// left-deep execution); start() primes it. The build side is
-			// drained directly (with its own goroutine in the
-			// both-materialized path), so wrapping it would only add a
-			// buffer layer.
+			// drained directly, so wrapping it would only add a buffer
+			// layer.
 			left:    newConcurrentOp(left, 4),
 			right:   right,
 			schema:  schema,

@@ -9,10 +9,10 @@
 // combiners; a stateful combiner defers to one end-of-stream combine,
 // exactly as the other streaming operators do.
 //
-// A join that needs the global candidate set (SmartBatch grids, §3.2
-// feature selection) drains its inputs first and then ingests them
-// whole into the same streams; only there does a stream also tally κ
-// rating matrices and package its values as a join.Extraction.
+// Under §3.2 automatic feature selection the probe side's stream
+// ingests its buffered tuples at end of stream; only there do the
+// streams also tally κ rating matrices and package their values as a
+// join.Extraction for the selection.
 //
 // Questions that exhaust their retry budgets resolve to UNKNOWN — the
 // paper's wildcard, which never prunes a candidate pair (§2.4) — and
@@ -27,6 +27,7 @@ import (
 	"qurk/internal/combine"
 	"qurk/internal/hit"
 	"qurk/internal/join"
+	"qurk/internal/plan"
 	"qurk/internal/poster"
 	"qurk/internal/relation"
 )
@@ -69,7 +70,7 @@ type extStream struct {
 // ("extract-left"/"extract-right") and seq is the owning operator's
 // shared chunk counter so collection interleaves deterministically
 // with the operator's other posters.
-func (x *executor) newExtStream(label, groupID string, features []join.Feature, batch, assignments int, seq *int) (*extStream, error) {
+func (x *executor) newExtStream(label, groupID string, features []join.Feature, phys *plan.JoinPhys, seq *int) (*extStream, error) {
 	comb, err := x.eng.Combiner()
 	if err != nil {
 		return nil, err
@@ -78,11 +79,11 @@ func (x *executor) newExtStream(label, groupID string, features []join.Feature, 
 		x:        x,
 		groupID:  groupID,
 		features: features,
-		combined: x.eng.Options.ExtractCombined,
-		batch:    batch,
+		combined: phys.ExtractCombined,
+		batch:    phys.ExtractBatch,
 		comb:     comb,
 		perQ:     combine.IsPerQuestion(comb),
-		builder:  hit.NewBuilder(groupID, assignments, 1),
+		builder:  hit.NewBuilder(groupID, phys.Assignments, 1),
 		qSlot:    map[string]int{},
 	}
 	for _, f := range features {
@@ -94,7 +95,7 @@ func (x *executor) newExtStream(label, groupID string, features []join.Feature, 
 	if len(e.fields) == 0 {
 		return nil, fmt.Errorf("exec: extraction stream %s has no features", label)
 	}
-	e.acct = &opAcct{x: x, label: label, asn: assignments, slot: x.stats.registerOp(label)}
+	e.acct = &opAcct{x: x, label: label, asn: phys.Assignments, slot: x.stats.registerOp(label)}
 	e.post = x.newPoster(groupID, seq, e.acct)
 	return e, nil
 }
@@ -109,13 +110,13 @@ func (e *extStream) tallyKappa(n int) error {
 	return err
 }
 
-// extraction packages a fully resolved stream over the materialized
-// rel as a join.Extraction: values keyed by tuple (what PairPasses and
-// ChooseFeatures read) plus the κ matrices when tallied.
-func (e *extStream) extraction(rel *relation.Relation) *join.Extraction {
-	ext := &join.Extraction{Relation: rel, Values: make(map[uint64]map[string]string, rel.Len())}
-	for i := 0; i < rel.Len(); i++ {
-		ext.Values[rel.Row(i).Key()] = e.values[i]
+// extraction packages a fully resolved stream over its subjects' rows
+// as a join.Extraction for §3.2 selection: values keyed by tuple (what
+// ChooseFeatures reads) plus the κ matrices when tallied.
+func (e *extStream) extraction(rows join.Rows) *join.Extraction {
+	ext := &join.Extraction{Values: make(map[uint64]map[string]string, rows.Len())}
+	for i := 0; i < rows.Len(); i++ {
+		ext.Values[rows.Row(i).Key()] = e.values[i]
 	}
 	if e.kappa != nil {
 		ext.Matrices = e.kappa.Matrices
@@ -327,9 +328,10 @@ func (e *extStream) qidFor(i int, field string) string {
 	return hit.MintID(e.groupID, "t", i, 5) + "." + field
 }
 
-// done reports whether every ingested subject has resolved values.
+// done reports whether every ingested subject has resolved values; a
+// join without features has no stream, which is trivially done.
 func (e *extStream) done() bool {
-	return e.eos && e.post.Idle() && (e.perQ || e.final) && e.resolved == len(e.values)
+	return e == nil || e.eos && e.post.Idle() && (e.perQ || e.final) && e.resolved == len(e.values)
 }
 
 // featureMatch applies the paper's §2.4 matching rule over resolved

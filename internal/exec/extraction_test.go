@@ -183,8 +183,9 @@ func TestExtractionExpiryRetries(t *testing.T) {
 }
 
 // TestJoinBreakerNotes: the filtered join's breaker drops to "build
-// side only" on the streaming path; grid layout still materializes
-// both inputs; the machine-readable Breakers carry the memory bound.
+// side only" on the streaming path; a grid join streams its probe side
+// too and buffers only its surviving pairs for the end-of-stream
+// layout; the machine-readable Breakers carry the memory bound.
 func TestJoinBreakerNotes(t *testing.T) {
 	compile := func(opts core.Options, src string) Operator {
 		d := dataset.NewCelebrities(dataset.CelebrityConfig{N: 8, Seed: 3})
@@ -215,8 +216,8 @@ func TestJoinBreakerNotes(t *testing.T) {
 		t.Errorf("streaming filtered join should materialize the build side only:\n%s", streaming)
 	}
 	grid := Describe(compile(core.Options{JoinAlgorithm: join.Smart}, featureJoinQuery))
-	if !strings.Contains(grid, "materializes both inputs") {
-		t.Errorf("grid join must keep the global-candidates breaker:\n%s", grid)
+	if !strings.Contains(grid, "build side only") || !strings.Contains(grid, "grid layout at end of stream") {
+		t.Errorf("grid join should stream its probe side and buffer only surviving pairs:\n%s", grid)
 	}
 	spilling := compile(core.Options{JoinAlgorithm: join.Naive, BreakerMemTuples: 16}, featureJoinQuery)
 	bks := PipelineBreakers(spilling)

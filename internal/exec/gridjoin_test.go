@@ -1,12 +1,14 @@
 package exec
 
-// Tests for the materializing crowd-join branch — SmartBatch grid
-// layout and §3.2 automatic feature selection. Both drain their inputs
-// and then extract, sample, and lay out pairs through the same chunked
-// poster as every other crowd phase, so they must (a) reproduce the
-// pinned rows, posted HITs, and dollars exactly, (b) stop at once when
+// Tests for SmartBatch grid layout and §3.2 automatic feature
+// selection on the one streaming join pipeline: the build side drains
+// into the spill table, the probe side streams, grids are laid out at
+// end of stream from the buffered survivors, and selection is a gate
+// before pair generation. These joins must (a) reproduce the pinned rows, posted
+// HITs, and dollars exactly, at any spill cap, (b) stop at once when
 // the query is cancelled, and (c) account every phase on the crowd
-// clock.
+// clock. The featureless Smart and NaiveBatch joins, the zero-feature
+// case of the same pipeline, are pinned too.
 
 import (
 	"context"
@@ -24,6 +26,7 @@ import (
 	"qurk/internal/dataset"
 	"qurk/internal/hit"
 	"qurk/internal/join"
+	"qurk/internal/plan"
 	"qurk/internal/relation"
 )
 
@@ -244,6 +247,111 @@ func TestMaterializingJoinEmptySide(t *testing.T) {
 			if out.Len() != 0 || extractHITsOf(stats, "extract-left") == 0 {
 				t.Errorf("rows = %d, left extraction HITs = %d; want 0 rows after extracting the left side",
 					out.Len(), extractHITsOf(stats, "extract-left"))
+			}
+		})
+	}
+}
+
+// pinnedRun runs src on e over a post-tracking market and renders its
+// rows, posted HIT IDs, and ledger dollars as digests.
+func pinnedRun(t *testing.T, e *core.Engine, m *crowd.SimMarket, src string) (string, *Stats) {
+	t.Helper()
+	out, stats, err := runQuery(e, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for i := 0; i < out.Len(); i++ {
+		rows = append(rows, fmt.Sprint(out.Row(i)))
+	}
+	hits := m.PostedHITs()
+	return fmt.Sprintf("rows=%d %#x hits=%d %#x $%.4f", len(rows), digestLines(rows),
+		len(hits), digestLines(hits), e.Ledger.TotalDollars()), stats
+}
+
+// TestFeaturelessJoinsPinned: a join without POSSIBLY features runs the
+// zero-feature case of the streaming pipeline — SmartBatch grids laid
+// out from its buffered pairs, NaiveBatch pairs minted as probe batches
+// arrive (also under a crowd filter and LIMIT, whose upstream HITs
+// depend on when the join pulls its probe side) — and posts exactly
+// these rows, HIT IDs, and dollars at exactly this pipeline makespan.
+func TestFeaturelessJoinsPinned(t *testing.T) {
+	const src = `SELECT c.name, p.img FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`
+	cases := []struct {
+		name, query string
+		opts        core.Options
+		want        string
+		makespan    float64
+	}{
+		{"smart", src, core.Options{JoinAlgorithm: join.Smart, GridRows: 3, GridCols: 3},
+			"rows=10 0xce8bcb9516450103 hits=16 0x4f4e23af0ebd81b4 $1.2000", 0.043585},
+		{"naive", src, core.Options{JoinAlgorithm: join.Naive, JoinBatch: 5, StreamChunkHITs: 4},
+			"rows=12 0xbe47c0149b140a0d hits=29 0x2d17935eafad9e0d $2.1750", 0.031138},
+		{"naive+filter+limit", src + ` WHERE isFemale(c.img) LIMIT 3`,
+			core.Options{JoinAlgorithm: join.Naive, JoinBatch: 5, StreamChunkHITs: 2},
+			"rows=3 0x204a529e7371da38 hits=11 0x40f0b4ff375e761c $0.8250", 0.031301},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := dataset.NewCelebrities(dataset.CelebrityConfig{N: 12, Seed: 7})
+			cfg := crowd.DefaultConfig(7)
+			cfg.TrackPosts = true
+			m := crowd.NewSimMarket(cfg, d.Oracle())
+			e := core.NewEngine(m, tc.opts)
+			e.Catalog.Register(d.Celeb)
+			e.Catalog.Register(d.Photos)
+			e.Library.MustRegister(dataset.SamePersonTask())
+			e.Library.MustRegister(dataset.IsFemaleTask())
+			got, stats := pinnedRun(t, e, m, tc.query)
+			if got != tc.want {
+				t.Errorf("got  %s\nwant %s", got, tc.want)
+			}
+			if h := stats.PipelineMakespanHours; fmt.Sprintf("%.6f", h) != fmt.Sprintf("%.6f", tc.makespan) {
+				t.Errorf("makespan %.6fh, want %.6fh", h, tc.makespan)
+			}
+		})
+	}
+}
+
+// TestGridAndAutoSelectJoinsSpill: at BreakerMemTuples 4 the grid and
+// auto-select joins drain their build side through the spill table —
+// PipelineBreakers reports a spilling join-build breaker — and still
+// produce TestMaterializingJoinsPinned's cap-0 rows, HITs, and dollars.
+func TestGridAndAutoSelectJoinsSpill(t *testing.T) {
+	want := map[string]string{
+		"smart+possibly": "rows=9 0x2ebb77a2d6d88506 hits=22 0x2476456e957114ac $1.6500",
+		"autoselect":     "rows=20 0xbaa75418bbf49590 hits=73 0xfd097cb49840f860 $5.4750",
+	}
+	for _, tc := range materializingCases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := dataset.NewCelebrities(dataset.CelebrityConfig{N: tc.n, Seed: tc.seed})
+			cfg := crowd.DefaultConfig(tc.seed)
+			cfg.TrackPosts = true
+			m := crowd.NewSimMarket(cfg, d.Oracle())
+			e := tc.build(m, d)
+			e.Options.BreakerMemTuples = 4
+
+			root, err := plan.BuildQuery(tc.query, e.Library)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Pin(root, e.Options)
+			op, err := Compile(e, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spills := false
+			for _, ob := range PipelineBreakers(op) {
+				for _, bi := range ob.Breakers {
+					spills = spills || bi.Kind == BreakerJoinBuild && bi.Spills && bi.MemTuples == 4
+				}
+			}
+			op.Close()
+			if !spills {
+				t.Errorf("no spilling join-build breaker:\n%s", Describe(op))
+			}
+			if got, _ := pinnedRun(t, e, m, tc.query); got != want[tc.name] {
+				t.Errorf("got  %s\nwant %s", got, want[tc.name])
 			}
 		})
 	}

@@ -1,20 +1,23 @@
-// Streaming crowd join. The build (right) side is always materialized
-// — a block nested loop needs one full side — into a spill table: in
-// memory at Options.BreakerMemTuples 0, and in disk partitions of cap
-// tuples, bounding memory at O(cap), when the cap is positive. With a
-// per-pair interface (Simple/NaiveBatch) the probe (left) side
-// streams — including when POSSIBLY features are present: the probe
-// side's extraction HITs are minted per arriving batch and posted
-// through the chunked poster, the build side's extraction posts
-// through the same poster, and pair generation consumes probe tuples
-// as their feature votes resolve. A filtered join therefore pipelines
-// end to end, and extraction inherits the refusal/expiry retry
-// policies. SmartBatch grid layout and automatic feature selection
-// still need a global view of the candidates, so those paths
-// materialize the probe side too (memory O(|R|+|S|)) and then extract
-// through the same streams; posting and collection stay chunked and
-// incremental either way, which is what lets LIMIT stop the spend and
-// cancellation stop the wait.
+// Streaming crowd join: the paper's block nested loop (§3.1) with one
+// HIT per predicate evaluation, run as one pipeline whatever the
+// interface. The build (right) side is always materialized — a block
+// nested loop needs one full side — into a spill table: in memory at
+// Options.BreakerMemTuples 0, and in disk partitions of cap tuples,
+// bounding memory at O(cap), when the cap is positive. The probe (left)
+// side always streams. With POSSIBLY features its extraction HITs are
+// minted per arriving batch and posted through the chunked poster, the
+// build side's extraction posts through the same poster, and pair
+// generation consumes probe tuples as their feature votes resolve; a
+// join without features is the zero-feature case, whose pairs all pass
+// and whose probe batches are pulled only once every buffered tuple is
+// paired. SmartBatch (§3.1.3) buffers the surviving pairs in scan order
+// and lays them out as grids at end of stream. §3.2 automatic feature
+// selection is a gate in the same loop: the probe side's extraction
+// waits for its end of stream (the κ tally needs the subject count),
+// the sample join runs once both sides are extracted, and pairs are
+// then matched on the kept features only. Posting and collection stay
+// chunked and incremental throughout, which is what lets LIMIT stop the
+// spend and cancellation stop the wait.
 package exec
 
 import (
@@ -66,37 +69,41 @@ type crowdJoinOp struct {
 	acct    *opAcct
 	seq     int
 
-	started  bool
-	rightRel *buildTable
-	// streaming-left state (nil iter means left streams)
-	iter      join.PairIter
-	leftBuf   []relation.Tuple
+	started   bool
+	rightRel  *buildTable
 	leftEOS   bool
-	rightIdx  int
 	pairsDone bool
 
-	// streaming feature extraction (nil when the join has no features
-	// or must materialize the probe side): xl extracts the probe side
-	// per arriving batch, xr the build side — fed incrementally inside
-	// the step loop so its queued questions stay bounded even when the
-	// build side spilled to disk; pair generation consumes xl's
-	// resolved frontier.
+	// POSSIBLY feature extraction (both nil when the join applies no
+	// features): xl extracts the probe side per arriving batch, xr the
+	// build side — fed incrementally inside step so its queued questions
+	// stay bounded even when the build side spilled to disk. fields are
+	// the features pairs are matched on: all of them, or the subset §3.2
+	// selection kept. selecting holds the probe side's extraction until
+	// its end of stream and pair generation until selection ran.
 	xl, xr    *extStream
-	xrFed     int              // build rows handed to xr so far
+	xrFed     int // build rows handed to xr so far
+	fields    []string
+	selecting bool
+
 	leftRows  []relation.Tuple // probe tuples awaiting pair generation
 	genLeft   int              // next probe ordinal to pair
 	genRight  int              // next build row for genLeft
-	pairClock float64          // max resolve time of consumed tuples
+	pairClock float64          // max ready time of consumed tuples
 
-	// mid-run re-plan (Options.Replan, streaming prefilter path only):
-	// pair counts over the scanned probe prefix, the one-shot switch
-	// decision, and — after a Naive→Smart switch — the surviving tail
-	// pairs buffered for grid layout at end of stream.
+	// prefilter marks the streaming-prefilter scope (per-pair interface,
+	// POSSIBLY features, no §3.2 selection): pair counts over the scanned
+	// probe prefix feed the pass-fraction observation and the one-shot
+	// mid-run re-plan decision (Options.Replan). useSmart buffers the
+	// surviving pairs for grid layout at end of stream — from the start
+	// under SmartBatch, after a Naive→Smart re-plan otherwise — as
+	// (probe, build) ordinals, keeping their probe tuples buffered.
+	prefilter bool
 	scanPairs int
 	passPairs int
 	replanned bool
 	useSmart  bool
-	tailPairs []join.Pair
+	tail      [][2]int
 
 	qbuf     []hit.Question
 	slots    []*jslot
@@ -117,28 +124,27 @@ func (j *crowdJoinOp) Inputs() []Operator       { return []Operator{j.left, j.ri
 
 // Breakers implements BreakerDetail: the build side always
 // materializes (spilling past a positive Options.BreakerMemTuples);
-// grid layout and automatic feature selection also materialize the
-// probe side; a stateful combiner additionally buffers all pair votes.
+// SmartBatch buffers its surviving candidates and §3.2 selection the
+// probe side until end of stream; a stateful combiner additionally
+// buffers all pair votes.
 func (j *crowdJoinOp) Breakers() []BreakerInfo {
 	cap := j.x.eng.Options.BreakerMemTuples
-	var infos []BreakerInfo
-	if j.materializesLeft() {
+	infos := []BreakerInfo{{
+		Kind:      BreakerJoinBuild,
+		MemTuples: cap,
+		Spills:    cap > 0,
+		Note:      "materializes build side only; probe side streams",
+	}}
+	if j.useSmart {
 		infos = append(infos, BreakerInfo{
 			Kind: BreakerJoinCandidates,
-			Note: "materializes both inputs (grid layout/feature selection need global candidates)",
+			Note: "buffers surviving pairs for grid layout at end of stream",
 		})
-		if lf, _ := j.features(); len(lf) > 0 {
-			infos = append(infos, BreakerInfo{
-				Kind: BreakerExtraction,
-				Note: "features of the drained inputs are extracted, chunk by chunk, before pair layout",
-			})
-		}
-	} else {
+	}
+	if j.xl != nil && j.phys.AutoSelectFeatures {
 		infos = append(infos, BreakerInfo{
-			Kind:      BreakerJoinBuild,
-			MemTuples: cap,
-			Spills:    cap > 0,
-			Note:      "materializes build side only; probe side streams",
+			Kind: BreakerJoinCandidates,
+			Note: "buffers the probe side until feature selection ran",
 		})
 	}
 	if !j.perQ {
@@ -153,48 +159,30 @@ func (j *crowdJoinOp) Breakers() []BreakerInfo {
 // BreakerNote implements Breaker.
 func (j *crowdJoinOp) BreakerNote() string { return breakerNote(j.Breakers()) }
 
-// features returns the POSSIBLY features the physical plan actually
-// applies — nil when the optimizer decided pre-filtering does not pay.
-func (j *crowdJoinOp) features() ([]join.Feature, []join.Feature) {
-	if !j.phys.UseFeatures {
-		return nil, nil
-	}
-	return j.node.LeftFeatures, j.node.RightFeatures
-}
-
-// materializesLeft reports whether the probe side must be drained
-// before pair layout: SmartBatch grids and §3.2 automatic feature
-// selection both need the global candidate set. Plain feature
-// filtering no longer does — the probe side's extraction streams.
-func (j *crowdJoinOp) materializesLeft() bool {
-	lf, _ := j.features()
-	return j.phys.Algorithm == join.Smart || (len(lf) > 0 && j.x.eng.Options.AutoSelectFeatures)
-}
-
-// streamsExtraction reports whether the probe side's features are
-// extracted on the fly through the chunked poster.
-func (j *crowdJoinOp) streamsExtraction() bool {
-	lf, _ := j.features()
-	return len(lf) > 0 && !j.materializesLeft()
-}
-
 // initExtraction sets up both sides' extraction streams at build time
 // so the extract-left/extract-right Stats slots appear in
-// deterministic plan order. The streaming path feeds them per arriving
-// batch; the materializing path ingests its drained inputs whole.
+// deterministic plan order, and fixes the join's candidate layout.
+// Features apply when the node has some and the physical plan uses
+// them (the optimizer may decide pre-filtering does not pay).
 func (j *crowdJoinOp) initExtraction() error {
-	lf, rf := j.features()
-	if len(lf) == 0 {
+	j.useSmart = j.phys.Algorithm == join.Smart
+	lf, rf := j.node.LeftFeatures, j.node.RightFeatures
+	if !j.phys.UseFeatures || len(lf) == 0 {
 		return nil
 	}
+	for _, f := range lf {
+		j.fields = append(j.fields, f.Field)
+	}
+	j.selecting = j.phys.AutoSelectFeatures
+	j.prefilter = !j.useSmart && !j.selecting
 	var err error
 	j.xl, err = j.x.newExtStream("extract-left",
-		j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl"), lf, j.phys.ExtractBatch, j.phys.Assignments, &j.seq)
+		j.x.groupID("extract-left/"+j.node.Task.Name, j.path+".xl"), lf, &j.phys, &j.seq)
 	if err != nil {
 		return err
 	}
 	j.xr, err = j.x.newExtStream("extract-right",
-		j.x.groupID("extract-right/"+j.node.Task.Name, j.path+".xr"), rf, j.phys.ExtractBatch, j.phys.Assignments, &j.seq)
+		j.x.groupID("extract-right/"+j.node.Task.Name, j.path+".xr"), rf, &j.phys, &j.seq)
 	return err
 }
 
@@ -256,152 +244,126 @@ func (j *crowdJoinOp) Next(ctx context.Context) (*Batch, error) {
 	}
 }
 
-// start materializes the build side (and, when the candidate layout
-// needs it, the probe side, its extractions, and the §3.2 sample join)
-// before any pair HIT is posted. Both subtrees are exchange-wrapped, so
-// they execute concurrently — the paper's §2.5 pipelined left-deep
-// execution. On the streaming-extraction path the build side's
-// extraction questions are minted inside step() and posted and
-// collected chunk by chunk, interleaved with the probe side's.
+// start materializes the build side before any pair HIT is posted. The
+// probe subtree is exchange-wrapped and primed first, so it makes crowd
+// progress while the build side drains — the paper's §2.5 pipelined
+// left-deep execution. The build side's extraction questions are minted
+// inside step and posted and collected chunk by chunk, interleaved with
+// the probe side's.
 func (j *crowdJoinOp) start(ctx context.Context) error {
 	j.started = true
-	opts := &j.x.eng.Options
-	if !j.materializesLeft() {
-		// Prime the probe-side exchange so its subtree posts crowd work
-		// while the build side drains here.
-		if c, ok := j.left.(*concurrentOp); ok {
-			c.start(ctx)
-		}
-		right, rReady, err := drainBuildTable(ctx, j.right, opts.BreakerMemTuples)
-		if err != nil {
-			return err
-		}
-		// Durable runs checkpoint the materialized build side (spilled
-		// partitions keep a running digest, so this is free of re-reads).
-		if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", right.Digest(), rReady); err != nil {
-			return err
-		}
-		j.rightRel = right
-		j.clock = rReady
-		if j.xr != nil {
-			// The build side's extraction questions are fed to xr
-			// incrementally inside stepExtracting — minting them all here
-			// would pin O(|S|) tuples in queued HITs, defeating the spill
-			// the drain above may just have performed.
-			j.pairClock = rReady
-		}
-		return nil
+	if c, ok := j.left.(*concurrentOp); ok {
+		c.start(ctx)
 	}
-
-	// Drain both sides concurrently.
-	var left *relation.Relation
-	var lReady float64
-	var lerr error
-	drained := make(chan struct{})
-	go func() {
-		left, lReady, lerr = drainRelation(ctx, j.left)
-		close(drained)
-	}()
-	right, rReady, rerr := drainRelation(ctx, j.right)
-	<-drained
-	if lerr != nil {
-		return lerr
-	}
-	if rerr != nil {
-		return rerr
-	}
-	if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", digestRelation(right), rReady); err != nil {
+	right, rReady, err := drainBuildTable(ctx, j.right, j.x.eng.Options.BreakerMemTuples)
+	if err != nil {
 		return err
 	}
-	j.clock = lReady
-	if rReady > j.clock {
-		j.clock = rReady
+	// Durable runs checkpoint the materialized build side (spilled
+	// partitions keep a running digest, so this is free of re-reads).
+	if err := j.x.checkpoint(ckptJoinBuild, j.path+".b", right.Digest(), rReady); err != nil {
+		return err
 	}
+	j.rightRel = right
+	j.clock, j.pairClock = rReady, rReady
+	if !j.selecting {
+		return nil
+	}
+	// An empty side leaves no candidates to sample and no votes to rate:
+	// both sides are then extracted with every feature kept.
+	if right.Len() == 0 {
+		j.selecting = false
+		return nil
+	}
+	return j.xr.tallyKappa(right.Len())
+}
 
-	var le, re *join.Extraction
-	features, _ := j.features()
-	if len(features) > 0 {
-		// An empty side leaves no candidates to sample and no votes to rate.
-		autoSelect := opts.AutoSelectFeatures && left.Len() > 0 && right.Len() > 0
-		if err := j.drainExtraction(ctx, left, right, autoSelect); err != nil {
-			return err
+// pullLeft buffers the probe side's next batch for pair generation and
+// mints its extraction questions — under §3.2 selection only at end of
+// stream, for the whole buffered side at once. Without features a
+// tuple's pairs can post as soon as its batch and the build side are
+// ready.
+func (j *crowdJoinOp) pullLeft(ctx context.Context) error {
+	in, err := j.left.Next(ctx)
+	if err != nil {
+		return err
+	}
+	if in == nil {
+		j.leftEOS = true
+		if j.xl == nil {
+			return nil
 		}
-		le, re = j.xl.extraction(left), j.xr.extraction(right)
-		if autoSelect {
-			var err error
-			if features, err = j.selectFeatures(ctx, left, right, le, re); err != nil {
+		if j.selecting {
+			if len(j.leftRows) == 0 {
+				j.selecting = false
+			} else if err := j.xl.tallyKappa(len(j.leftRows)); err != nil {
+				return err
+			}
+			for _, t := range j.leftRows {
+				if err := j.xl.ingest(t); err != nil {
+					return err
+				}
+			}
+		}
+		return j.xl.finishInput()
+	}
+	if in.Ready > j.clock {
+		j.clock = in.Ready
+	}
+	if j.xl == nil && in.Ready > j.pairClock {
+		j.pairClock = in.Ready
+	}
+	for _, t := range in.Rows() {
+		j.leftRows = append(j.leftRows, t)
+		if j.xl != nil && !j.selecting {
+			if err := j.xl.ingest(t); err != nil {
 				return err
 			}
 		}
 	}
-	names := make([]string, len(features))
-	for i, f := range features {
-		names[i] = f.Field
-	}
-	// Every candidate posts (or is served) no earlier than the phases
-	// above finished, so the operator cannot settle before them either.
-	j.emit.advance(j.clock)
-
-	if j.phys.Algorithm == join.Smart {
-		var seq join.PairSeq
-		if len(names) > 0 {
-			seq = join.FilteredSeq(left, right, le, re, names)
-		} else {
-			seq = join.CrossSeq(left, right)
-		}
-		j.pairsDone = true
-		return j.layoutGrids(seq, j.phys.GridRows, j.phys.GridCols, j.clock)
-	}
-	j.iter = join.NewPairIter(left, right, le, re, names)
 	return nil
 }
 
-// drainExtraction extracts both drained inputs' features through their
-// streams: every row is ingested up front, chunks post at the inputs'
-// ready time within the lookahead, and the globally oldest in-flight
-// chunk of either side is collected first, so both sides overlap on the
-// marketplace. With kappa the streams also tally κ matrices for §3.2
-// feature selection. It returns once every subject resolved, advancing
-// the operator clock past the last extraction chunk.
-func (j *crowdJoinOp) drainExtraction(ctx context.Context, left, right *relation.Relation, kappa bool) error {
-	sides := [2]*extStream{j.xl, j.xr}
-	for i, rel := range [2]*relation.Relation{left, right} {
-		if kappa {
-			if err := sides[i].tallyKappa(rel.Len()); err != nil {
+// pullsAhead reports whether step should buffer the next probe batch
+// before generating pairs. Only a join with features pulls ahead — its
+// extraction needs tuples in flight — and only within a demand window
+// that keeps extraction busy without racing to the end of the input, so
+// a LIMIT that closes the pipeline leaves the un-ingested tail's
+// extraction HITs unposted. Stateful combiners resolve only at end of
+// stream and §3.2 selection needs the whole probe side, so neither gets
+// a window.
+func (j *crowdJoinOp) pullsAhead() bool {
+	if j.xl == nil || j.leftEOS || j.closed || j.xl.post.Backlogged() {
+		return false
+	}
+	opts := &j.x.eng.Options
+	window := opts.StreamLookahead * opts.StreamChunkHITs * j.xl.batch
+	return j.selecting || !j.xl.perQ || window <= 0 || len(j.leftRows)-j.genLeft < window
+}
+
+// feedBuild hands the build side's extraction a bounded slice of rows:
+// enough to keep its poster busy, never the whole (possibly spilled)
+// side at once.
+func (j *crowdJoinOp) feedBuild() error {
+	n := j.rightRel.Len()
+	if j.xrFed < n && !j.xr.post.Backlogged() {
+		want := j.x.eng.Options.StreamChunkHITs * j.xr.batch
+		for k := 0; k < want && j.xrFed < n; k++ {
+			row := j.rightRel.Row(j.xrFed)
+			// Surface a spill read error before minting a question from
+			// the zero tuple it returned — posting it would spend real
+			// money on garbage.
+			if err := j.rightRel.Err(); err != nil {
 				return err
 			}
-		}
-		for r := 0; r < rel.Len(); r++ {
-			if err := sides[i].ingest(rel.Row(r)); err != nil {
+			if err := j.xr.ingest(row); err != nil {
 				return err
 			}
-		}
-		if err := sides[i].finishInput(); err != nil {
-			return err
+			j.xrFed++
 		}
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, e := range sides {
-			e.post.PostReady(true, j.clock)
-		}
-		i := oldestInFlight(j.xl.post, j.xr.post)
-		if i < 0 {
-			break
-		}
-		if err := sides[i].collect(ctx); err != nil {
-			return err
-		}
-	}
-	for _, e := range sides {
-		if err := e.finalizeEOS(); err != nil {
-			return err
-		}
-		if e.lastDone > j.clock {
-			j.clock = e.lastDone
-		}
+	if j.xrFed >= n && !j.xr.eos {
+		return j.xr.finishInput()
 	}
 	return nil
 }
@@ -420,30 +382,57 @@ func oldestInFlight(ps ...*poster.Poster) int {
 	return best
 }
 
-// selectFeatures implements §3.2's automatic feature pruning: a crowd
-// join over a sample of the cross product, posted through the chunked
-// poster with the join's own interface once extraction settled,
+// collectOldest collects the globally oldest in-flight chunk across the
+// join's posters (by shared sequence number, so interleaving is
+// deterministic); it reports false when nothing is in flight.
+func (j *crowdJoinOp) collectOldest(ctx context.Context) (bool, error) {
+	if j.xl == nil {
+		if j.post.OldestSeq() < 0 {
+			return false, nil
+		}
+		return true, j.collectChunk(ctx)
+	}
+	switch oldestInFlight(j.xr.post, j.xl.post, j.post) {
+	case 0:
+		return true, j.xr.collect(ctx)
+	case 1:
+		return true, j.xl.collect(ctx)
+	case 2:
+		return true, j.collectChunk(ctx)
+	}
+	return false, nil
+}
+
+// selectFeatures implements §3.2's automatic feature pruning, once both
+// sides are extracted: a crowd join over a sample of the cross product,
+// posted through the chunked poster with the join's own interface,
 // supplies reference matches, and ChooseFeatures applies the paper's
-// three discard rules (κ ambiguity, result loss, selectivity). It
-// returns the kept features, advancing the operator clock past the
-// sample join.
-func (j *crowdJoinOp) selectFeatures(ctx context.Context, left, right *relation.Relation, le, re *join.Extraction) ([]join.Feature, error) {
+// three discard rules (κ ambiguity, result loss, selectivity). Pair
+// generation then matches on the kept features only, no earlier than
+// the sample join finished.
+func (j *crowdJoinOp) selectFeatures(ctx context.Context) error {
+	j.selecting = false
 	x, task := j.x, j.node.Task.Name
-	cfg := x.eng.Options.FeatureSelection
+	cfg := j.phys.FeatureSelection
 	if cfg.SampleFrac == 0 {
 		cfg.SampleFrac = 0.15
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = x.eng.Options.Seed + 1
 	}
+	left, right := probeRows(j.leftRows), j.rightRel
+	le, re := j.xl.extraction(left), j.xr.extraction(right)
 	sample := join.SamplePairs(left, right, cfg.SampleFrac, rand.New(rand.NewSource(cfg.Seed)))
+	if err := right.Err(); err != nil {
+		return err
+	}
 	gid := x.groupID("select-sample/"+task, j.path+".fs")
 	var questions []hit.Question
 	if j.phys.Algorithm == join.Smart {
 		grids, err := join.SmartGridHITs(hit.NewBuilder(gid, j.phys.Assignments, 1), join.SliceSeq(sample),
 			func(join.Pair) {}, task, j.phys.GridRows, j.phys.GridCols)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, h := range grids {
 			questions = append(questions, h.Questions...)
@@ -454,23 +443,28 @@ func (j *crowdJoinOp) selectFeatures(ctx context.Context, left, right *relation.
 		}
 	}
 	var votes []combine.Vote
-	done, _, err := x.runQuestions(ctx, "feature-selection sample join", gid, questions, j.pairBatch(), j.phys.Assignments, j.clock,
+	done, _, err := x.runQuestions(ctx, "feature-selection sample join", gid, questions, j.pairBatch(), j.phys.Assignments,
+		max(j.clock, j.xl.lastDone, j.xr.lastDone),
 		func(q *hit.Question, as []hit.CachedAnswer) {
 			forEachPairVotes(q, as, func(_ string, vs []combine.Vote) { votes = append(votes, vs...) })
 		})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// Every candidate posts (or is served) no earlier than the sample
+	// join finished, so the operator cannot settle before it either.
 	j.clock = done
+	j.pairClock = max(j.pairClock, done)
+	j.emit.advance(done)
 	// A fresh combiner: stateful ones (QualityAdjust, GoldScreen) must
 	// not carry the sample's state into the join proper.
 	comb, err := x.eng.Combiner()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	decisions, err := comb.Combine(votes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var ref []join.Pair
 	for _, p := range sample {
@@ -479,21 +473,34 @@ func (j *crowdJoinOp) selectFeatures(ctx context.Context, left, right *relation.
 		}
 	}
 	kept, verdicts, err := join.ChooseFeatures(left, right, le, re, j.node.LeftFeatures, ref, cfg)
+	if err == nil {
+		err = right.Err()
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, v := range verdicts {
 		if !v.Kept {
 			x.stats.add(OpStat{Label: fmt.Sprintf("feature %q discarded: %s", v.Feature, v.Reason)})
 		}
 	}
-	return kept, nil
+	j.fields = j.fields[:0]
+	for _, f := range kept {
+		j.fields = append(j.fields, f.Field)
+	}
+	return nil
 }
 
+// probeRows adapts the buffered probe tuples to join.Rows.
+type probeRows []relation.Tuple
+
+func (r probeRows) Len() int                 { return len(r) }
+func (r probeRows) Row(i int) relation.Tuple { return r[i] }
+
 // layoutGrids lays candidate pairs out as r×s SmartBatch grids (the
-// layout needs the full candidate set: a materialized join's whole
-// cross product, or the tail buffered since a mid-run Naive→Smart
-// switch), decides whole grids from the answer store where it can,
+// layout needs the full candidate set: every survivor of a SmartBatch
+// join, or the tail buffered since a mid-run Naive→Smart switch, in
+// scan order), decides whole grids from the answer store where it can,
 // counts each posted cell as pending on its slot, and queues the rest
 // on the pair poster; collectChunk's per-cell expansion resolves them.
 // clock is when the candidates became known.
@@ -622,43 +629,6 @@ func (j *crowdJoinOp) mintPair(p join.Pair, key string, s *jslot, batch int, clo
 	return j.flushHIT(batch, false)
 }
 
-// nextPair produces the next candidate pair on the featureless
-// streaming path, pulling left batches on demand.
-func (j *crowdJoinOp) nextPair(ctx context.Context) (join.Pair, bool, error) {
-	if j.iter != nil {
-		p, ok := j.iter.Next()
-		return p, ok, nil
-	}
-	for {
-		if len(j.leftBuf) > 0 {
-			if j.rightIdx < j.rightRel.Len() {
-				p := join.Pair{Left: j.leftBuf[0], Right: j.rightRel.Row(j.rightIdx)}
-				j.rightIdx++
-				return p, true, nil
-			}
-			j.leftBuf = j.leftBuf[1:]
-			j.rightIdx = 0
-			continue
-		}
-		if j.leftEOS {
-			return join.Pair{}, false, nil
-		}
-		in, err := j.left.Next(ctx)
-		if err != nil {
-			return join.Pair{}, false, err
-		}
-		if in == nil {
-			j.leftEOS = true
-			continue
-		}
-		if in.Ready > j.clock {
-			j.clock = in.Ready
-		}
-		j.leftBuf = in.Rows()
-		j.rightIdx = 0
-	}
-}
-
 // pairBatch is the questions-per-HIT of the chosen pair interface.
 func (j *crowdJoinOp) pairBatch() int {
 	if j.phys.Algorithm == join.Naive && j.phys.BatchSize > 1 {
@@ -667,156 +637,50 @@ func (j *crowdJoinOp) pairBatch() int {
 	return 1
 }
 
-// step: generate candidate questions until a chunk's worth of HITs is
-// queued, post, collect, finalize — all count-driven. On the
-// streaming-extraction path the step loop also schedules the two
-// extraction posters; the globally oldest in-flight chunk (across all
-// posters, by shared sequence number) is always collected first, so
-// interleaving is deterministic.
+// step advances the join by one action: post every poster with a
+// ready chunk, buffer a probe batch ahead of pair generation, run §3.2
+// feature selection once both sides are extracted, turn ready probe
+// tuples into pair questions, or collect the globally oldest in-flight
+// chunk.
 func (j *crowdJoinOp) step(ctx context.Context) error {
-	if j.rightRel != nil {
-		if err := j.rightRel.Err(); err != nil {
-			return err
-		}
+	if err := j.rightRel.Err(); err != nil {
+		return err
 	}
 	batch := j.pairBatch()
-	if j.streamsExtraction() {
-		return j.stepExtracting(ctx, batch)
-	}
-	j.post.PostReady(j.pairsDone, j.clock)
-	if !j.pairsDone && !j.closed && !j.post.Backlogged() {
-		// Fill one chunk's worth of HITs (bounded work per step).
-		want := j.x.eng.Options.StreamChunkHITs * batch
-		for n := 0; n < want; n++ {
-			p, ok, err := j.nextPair(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				j.pairsDone = true
-				return j.flushHIT(batch, true)
-			}
-			s, key := j.noteSlot(p)
-			if err := j.mintPair(p, key, s, batch, j.clock); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if j.post.OldestSeq() >= 0 {
-		return j.collectChunk(ctx)
-	}
-	if (j.pairsDone || j.closed) && !j.final {
-		if err := j.finalize(); err != nil {
+	if j.xl != nil {
+		if err := j.feedBuild(); err != nil {
 			return err
 		}
+		j.xr.post.PostReady(j.xr.eos, j.clock)
+		j.xl.post.PostReady(j.xl.eos, j.clock)
 	}
-	j.done = true
-	return nil
-}
-
-// stepExtracting advances the pipelined filtered join by one action:
-// post every poster with a ready chunk, ingest a probe batch (minting
-// its extraction questions), turn resolved probe tuples into pair
-// questions, or collect the globally oldest in-flight chunk.
-func (j *crowdJoinOp) stepExtracting(ctx context.Context, batch int) error {
-	// Feed the build side's extraction a bounded slice of rows: enough
-	// to keep its poster busy, never the whole (possibly spilled) side
-	// at once.
-	if j.xrFed < j.rightRel.Len() && !j.xr.post.Backlogged() {
-		want := j.x.eng.Options.StreamChunkHITs * j.xr.batch
-		for n := 0; n < want && j.xrFed < j.rightRel.Len(); n++ {
-			row := j.rightRel.Row(j.xrFed)
-			// Surface a spill read error before minting a question from
-			// the zero tuple it returned — posting it would spend real
-			// money on garbage.
-			if err := j.rightRel.Err(); err != nil {
-				return err
-			}
-			if err := j.xr.ingest(row); err != nil {
-				return err
-			}
-			j.xrFed++
-		}
-	}
-	if j.xrFed >= j.rightRel.Len() && !j.xr.eos {
-		if err := j.xr.finishInput(); err != nil {
-			return err
-		}
-	}
-	// Post.
-	j.xr.post.PostReady(j.xr.eos, j.clock)
-	j.xl.post.PostReady(j.xl.eos, j.clock)
 	j.post.PostReady(j.pairsDone, j.pairClock)
-	// Ingest the probe side unless its extraction poster is backlogged
-	// or extraction has run far enough ahead of pair generation. The
-	// demand window keeps extraction busy without racing to the end of
-	// the input — so a LIMIT that closes the pipeline leaves the
-	// un-ingested tail's extraction HITs unposted (the streaming
-	// equivalent of the pair-phase short-circuit). Stateful combiners
-	// resolve only at end of stream, so they get no window: pair
-	// generation cannot start until the whole input is extracted.
-	opts := &j.x.eng.Options
-	window := opts.StreamLookahead * opts.StreamChunkHITs * j.xl.batch
-	if !j.xl.perQ {
-		window = 0
+	if j.pullsAhead() {
+		return j.pullLeft(ctx)
 	}
-	ahead := len(j.leftRows) - j.genLeft
-	if !j.leftEOS && !j.closed && !j.xl.post.Backlogged() && (window <= 0 || ahead < window) {
-		in, err := j.left.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			j.leftEOS = true
-			return j.xl.finishInput()
-		}
-		if in.Ready > j.clock {
-			j.clock = in.Ready
-		}
-		for _, t := range in.Rows() {
-			j.leftRows = append(j.leftRows, t)
-			if err := j.xl.ingest(t); err != nil {
-				return err
-			}
-		}
-		return nil
+	if j.selecting && j.xl.done() && j.xr.done() {
+		return j.selectFeatures(ctx)
 	}
-	// Generate pair questions from the resolved probe frontier. The
-	// build side's extraction must be fully resolved first: a pair can
-	// only be pruned (or kept) once both sides' values are known.
-	if !j.pairsDone && !j.closed && j.xr.done() && !j.post.Backlogged() {
-		progress, err := j.genPairs(batch)
+	// A pair can only be pruned (or kept) once both sides' values are
+	// known, so the build side's extraction must be fully resolved first.
+	if !j.pairsDone && !j.closed && !j.selecting && j.xr.done() && !j.post.Backlogged() {
+		progress, err := j.genPairs(ctx, batch)
 		if err == nil {
 			err = j.rightRel.Err()
 		}
-		if err != nil {
+		if err != nil || progress {
 			return err
 		}
-		if progress {
-			return nil
-		}
 	}
-	// Collect the globally oldest in-flight chunk across the three
-	// posters.
-	switch oldestInFlight(j.xr.post, j.xl.post, j.post) {
-	case 0:
-		return j.xr.collect(ctx)
-	case 1:
-		return j.xl.collect(ctx)
-	case 2:
-		return j.collectChunk(ctx)
+	if collected, err := j.collectOldest(ctx); collected || err != nil {
+		return err
 	}
 	// Stateful extraction combiners resolve once their stream is fully
 	// collected; pair generation then resumes above.
-	if j.xl.eos && j.xl.post.Idle() && !j.xl.final {
-		if err := j.xl.finalizeEOS(); err != nil {
-			return err
+	for _, e := range []*extStream{j.xl, j.xr} {
+		if e != nil && e.eos && e.post.Idle() && !e.final {
+			return e.finalizeEOS()
 		}
-		return nil
-	}
-	if j.xr.eos && j.xr.post.Idle() && !j.xr.final {
-		return j.xr.finalizeEOS()
 	}
 	if (j.pairsDone || j.closed) && !j.final {
 		if err := j.finalize(); err != nil {
@@ -827,17 +691,27 @@ func (j *crowdJoinOp) stepExtracting(ctx context.Context, batch int) error {
 	return nil
 }
 
-// genPairs turns resolved probe tuples into pair questions, bounded to
-// one chunk's worth of build-side visits per call. It reports whether
-// it made progress (generated questions or finished the pair stream).
-func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
+// genPairs turns ready probe tuples into pair questions — the one
+// enumeration loop of the join — bounded to one chunk's worth of
+// build-side visits per call. With features a probe tuple is ready once
+// its values resolved; without, once its batch arrived, and the next
+// batch is pulled only after every buffered tuple is paired. It reports
+// whether it made progress (generated questions or finished the pair
+// stream).
+func (j *crowdJoinOp) genPairs(ctx context.Context, batch int) (bool, error) {
 	want := j.x.eng.Options.StreamChunkHITs * batch
 	visited := 0
 	for visited < want {
-		if j.genLeft >= j.xl.resolved {
+		if j.xl == nil && j.genLeft >= len(j.leftRows) && !j.leftEOS {
+			if err := j.pullLeft(ctx); err != nil {
+				return false, err
+			}
+			continue
+		}
+		if j.genLeft >= len(j.leftRows) || (j.xl != nil && j.genLeft >= j.xl.resolved) {
 			break
 		}
-		if j.genRight == 0 {
+		if j.genRight == 0 && j.xl != nil {
 			// Consuming a new probe tuple: pairs derived from it cannot
 			// post before its features (or the build side's) resolved.
 			if r := j.xl.ready[j.genLeft]; r > j.pairClock {
@@ -848,29 +722,33 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 			}
 		}
 		lt := j.leftRows[j.genLeft]
-		lv := j.xl.values[j.genLeft]
+		var lv map[string]string
+		if j.xl != nil {
+			lv = j.xl.values[j.genLeft]
+		}
 		for j.genRight < j.rightRel.Len() && visited < want {
-			rt := j.rightRel.Row(j.genRight)
-			rv := j.xr.values[j.genRight]
 			ri := j.genRight
+			rt := j.rightRel.Row(ri)
 			j.genRight++
 			visited++
-			pass := featureMatch(lv, rv, j.xl.fields)
-			j.scanPairs++
-			if pass {
-				j.passPairs++
+			pass := len(j.fields) == 0 || featureMatch(lv, j.xr.values[ri], j.fields)
+			if j.prefilter {
+				j.scanPairs++
+				if pass {
+					j.passPairs++
+				}
 			}
 			if !pass {
 				continue
 			}
-			p := join.Pair{LeftIndex: j.genLeft, RightIndex: ri, Left: lt, Right: rt}
 			if j.useSmart {
-				// Post-switch survivors wait for the grid layout at end of
-				// stream; emission order still follows scan order because
-				// their slots register during layout, after every minted one.
-				j.tailPairs = append(j.tailPairs, p)
+				// Survivors wait for the grid layout at end of stream;
+				// emission order still follows scan order because their
+				// slots register during layout, after every minted one.
+				j.tail = append(j.tail, [2]int{j.genLeft, ri})
 				continue
 			}
+			p := join.Pair{LeftIndex: j.genLeft, RightIndex: ri, Left: lt, Right: rt}
 			s, key := j.noteSlot(p)
 			if err := j.mintPair(p, key, s, batch, j.pairClock); err != nil {
 				return false, err
@@ -878,8 +756,12 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 		}
 		if j.genRight >= j.rightRel.Len() {
 			j.genRight = 0
-			j.leftRows[j.genLeft] = relation.Tuple{} // release the buffered tuple
-			j.xl.values[j.genLeft] = nil
+			if !j.useSmart {
+				j.leftRows[j.genLeft] = relation.Tuple{} // release the buffered tuple
+			}
+			if j.xl != nil {
+				j.xl.values[j.genLeft] = nil
+			}
 			j.genLeft++
 			if err := j.maybeReplan(); err != nil {
 				return false, err
@@ -888,9 +770,9 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 	}
 	if j.leftEOS && j.xl.done() && j.genLeft >= len(j.leftRows) && !j.pairsDone {
 		j.pairsDone = true
-		if j.useSmart && len(j.tailPairs) > 0 {
-			err := j.layoutGrids(join.SliceSeq(j.tailPairs), j.phys.GridRows, j.phys.GridCols, j.pairClock)
-			j.tailPairs = nil
+		if j.useSmart && len(j.tail) > 0 {
+			err := j.layoutGrids(j.tailSeq(), j.phys.GridRows, j.phys.GridCols, j.pairClock)
+			j.tail = nil
 			if err != nil {
 				return false, err
 			}
@@ -906,6 +788,18 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 	return visited > 0, nil
 }
 
+// tailSeq streams the buffered survivors in scan order.
+func (j *crowdJoinOp) tailSeq() join.PairSeq {
+	return func(yield func(join.Pair) bool) {
+		for _, c := range j.tail {
+			p := join.Pair{LeftIndex: c[0], RightIndex: c[1], Left: j.leftRows[c[0]], Right: j.rightRel.Row(c[1])}
+			if !yield(p) {
+				return
+			}
+		}
+	}
+}
+
 // maybeReplan makes the one mid-run join re-optimization decision, at
 // the moment the first Options.Replan.ProbeTuples probe rows have been
 // fully scanned against the build side. The observed POSSIBLY pass
@@ -919,7 +813,7 @@ func (j *crowdJoinOp) genPairs(batch int) (bool, error) {
 // resume verifies the same switch.
 func (j *crowdJoinOp) maybeReplan() error {
 	repl := j.x.eng.Options.Replan
-	if j.replanned || !repl.Enabled || j.genLeft < repl.ProbeTuples {
+	if !j.prefilter || j.replanned || !repl.Enabled || j.genLeft < repl.ProbeTuples {
 		return nil
 	}
 	j.replanned = true

@@ -137,9 +137,7 @@ func (o *crowdOrderByOp) start(ctx context.Context) error {
 		return err
 	}
 	less := func(a, b relation.Tuple) bool { return a.At(0).Text() < b.At(0).Text() }
-	if o.sorter, err = spill.NewSorter(keySchema, o.x.eng.Options.BreakerMemTuples, less); err != nil {
-		return err
-	}
+	o.sorter = spill.NewSorter(keySchema, o.x.eng.Options.BreakerMemTuples, less)
 	o.clock, err = drainEach(ctx, o.child, func(t relation.Tuple) error {
 		key, err := o.groupKey(t)
 		if err != nil {
@@ -294,9 +292,7 @@ func (o *crowdOrderByOp) addScoredWindow(sub *relation.Relation, order []int) er
 		}
 		o.rankSchema = rankSchema
 		less := func(a, b relation.Tuple) bool { return a.At(0).Float() < b.At(0).Float() }
-		if o.winSorter, err = spill.NewSorter(rankSchema, o.x.eng.Options.BreakerMemTuples, less); err != nil {
-			return err
-		}
+		o.winSorter = spill.NewSorter(rankSchema, o.x.eng.Options.BreakerMemTuples, less)
 	}
 	m := float64(len(order) + 1)
 	for pos, ri := range order {
@@ -482,10 +478,8 @@ func (o *machineOrderByOp) Next(ctx context.Context) (*Batch, error) {
 				return nil, fmt.Errorf("exec: ORDER BY column %q not found", col)
 			}
 		}
+		o.sorter = spill.NewSorter(o.child.Schema(), o.cap, o.less)
 		var err error
-		if o.sorter, err = spill.NewSorter(o.child.Schema(), o.cap, o.less); err != nil {
-			return nil, err
-		}
 		if o.ready, err = drainEach(ctx, o.child, o.sorter.Add); err != nil {
 			return nil, err
 		}

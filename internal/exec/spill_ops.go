@@ -24,10 +24,7 @@ type buildTable struct {
 // drainBuildTable materializes op, spilling past cap tuples when cap
 // is positive.
 func drainBuildTable(ctx context.Context, op Operator, cap int) (*buildTable, float64, error) {
-	sp, err := spill.NewTable(op.Name(), op.Schema(), cap)
-	if err != nil {
-		return nil, 0, err
-	}
+	sp := spill.NewTable(op.Name(), op.Schema(), cap)
 	ready, err := drainEach(ctx, op, sp.Append)
 	if err != nil {
 		sp.Close()

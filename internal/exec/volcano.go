@@ -112,15 +112,13 @@ const (
 	BreakerSortInput BreakerKind = "sort-input"
 	// BreakerJoinBuild is a join's materialized build (right) side.
 	BreakerJoinBuild BreakerKind = "join-build"
-	// BreakerJoinCandidates is a join layout that needs the global
-	// candidate set (SmartBatch grids, automatic feature selection).
+	// BreakerJoinCandidates is a join's buffer held until end of stream:
+	// SmartBatch's surviving pairs awaiting grid layout, or the probe
+	// side awaiting automatic feature selection.
 	BreakerJoinCandidates BreakerKind = "join-candidates"
 	// BreakerVoteBuffer is the full vote matrix a stateful (non
 	// per-question) combiner needs in one Combine call.
 	BreakerVoteBuffer BreakerKind = "vote-buffer"
-	// BreakerExtraction is a feature-extraction pass over a
-	// materialized input.
-	BreakerExtraction BreakerKind = "extraction"
 )
 
 // BreakerInfo describes one pipeline-breaking buffer of an operator in
@@ -516,16 +514,6 @@ func drainEach(ctx context.Context, op Operator, add func(relation.Tuple) error)
 		}
 		ready = max(ready, b.Ready)
 	}
-}
-
-// drainRelation materializes op into a relation.
-func drainRelation(ctx context.Context, op Operator) (*relation.Relation, float64, error) {
-	rel := relation.New(op.Name(), op.Schema())
-	ready, err := drainEach(ctx, op, rel.Append)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rel, ready, nil
 }
 
 // emitQueue turns an operator's internally accumulated tuples into

@@ -178,47 +178,3 @@ func joinNames(names []string) string {
 	}
 	return out
 }
-
-// GridHITs lays out a smart-batch join: left items in columns of r, right
-// items in columns of s, one HIT per (r-chunk × s-chunk) — paper §3.1.3:
-// "For r images in the first column and s in the second column, we must
-// evaluate |R||S|/(rs) HITs."
-func (b *Builder) GridHITs(left, right []Question, r, s int) ([]*HIT, error) {
-	if r < 1 || s < 1 {
-		return nil, fmt.Errorf("hit: grid dimensions must be ≥1 (got %d×%d)", r, s)
-	}
-	if len(left) == 0 || len(right) == 0 {
-		return nil, nil
-	}
-	var hits []*HIT
-	for l := 0; l < len(left); l += r {
-		lend := l + r
-		if lend > len(left) {
-			lend = len(left)
-		}
-		for g := 0; g < len(right); g += s {
-			gend := g + s
-			if gend > len(right) {
-				gend = len(right)
-			}
-			h := b.newHIT(JoinGridQ)
-			q := Question{
-				ID:   b.QuestionID(),
-				Kind: JoinGridQ,
-				Task: left[l].Task,
-			}
-			for _, lq := range left[l:lend] {
-				q.LeftItems = append(q.LeftItems, lq.Tuple)
-			}
-			for _, rq := range right[g:gend] {
-				q.RightItems = append(q.RightItems, rq.Tuple)
-			}
-			h.Questions = []Question{q}
-			if err := h.Validate(); err != nil {
-				return nil, err
-			}
-			hits = append(hits, h)
-		}
-	}
-	return hits, nil
-}

@@ -137,49 +137,6 @@ func TestCombineErrors(t *testing.T) {
 	}
 }
 
-func TestGridHITs(t *testing.T) {
-	b := NewBuilder("g", 5, 1.0)
-	mk := func(n int, task string) []Question {
-		qs := make([]Question, n)
-		for i := range qs {
-			qs[i] = Question{Kind: JoinPairQ, Task: task, Tuple: imgTuple(fmt.Sprintf("%s%d", task, i))}
-		}
-		return qs
-	}
-	// 7 left, 5 right, 3x3 grid → ceil(7/3)*ceil(5/3) = 3*2 = 6 HITs.
-	hits, err := b.GridHITs(mk(7, "l"), mk(5, "r"), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 6 {
-		t.Fatalf("grid: %d HITs, want 6", len(hits))
-	}
-	// Every (left,right) pair appears in exactly one grid HIT.
-	pairs := map[string]int{}
-	for _, h := range hits {
-		q := h.Questions[0]
-		for _, lt := range q.LeftItems {
-			for _, rt := range q.RightItems {
-				pairs[lt.MustGet("name").Text()+"|"+rt.MustGet("name").Text()]++
-			}
-		}
-	}
-	if len(pairs) != 35 {
-		t.Fatalf("grid covers %d pairs, want 35", len(pairs))
-	}
-	for p, n := range pairs {
-		if n != 1 {
-			t.Errorf("pair %s appears %d times", p, n)
-		}
-	}
-	if _, err := b.GridHITs(mk(2, "l"), mk(2, "r"), 0, 3); err == nil {
-		t.Error("0-dimension grid accepted")
-	}
-	if hits, err := b.GridHITs(nil, mk(2, "r"), 2, 2); err != nil || hits != nil {
-		t.Error("empty side should yield no HITs")
-	}
-}
-
 func TestHITValidate(t *testing.T) {
 	h := &HIT{ID: "h", Assignments: 5, Questions: []Question{{ID: "q", Kind: FilterQ}}}
 	if err := h.Validate(); err != nil {

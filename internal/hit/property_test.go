@@ -45,54 +45,6 @@ func TestMergePropertyPreservesQuestions(t *testing.T) {
 	}
 }
 
-// Property: GridHITs covers every (left, right) pair exactly once for
-// arbitrary table and grid shapes.
-func TestGridPropertyExactCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	mk := func(n int, side string) []Question {
-		qs := make([]Question, n)
-		for i := range qs {
-			qs[i] = Question{Kind: JoinPairQ, Task: "t", Tuple: imgTuple(fmt.Sprintf("%s%03d", side, i))}
-		}
-		return qs
-	}
-	prop := func(_ uint8) bool {
-		nl := 1 + rng.Intn(15)
-		nr := 1 + rng.Intn(15)
-		r := 1 + rng.Intn(6)
-		c := 1 + rng.Intn(6)
-		b := NewBuilder("p", 5, 1)
-		hits, err := b.GridHITs(mk(nl, "l"), mk(nr, "r"), r, c)
-		if err != nil {
-			return false
-		}
-		pairs := map[string]int{}
-		for _, h := range hits {
-			q := h.Questions[0]
-			if len(q.LeftItems) > r || len(q.RightItems) > c {
-				return false
-			}
-			for _, lt := range q.LeftItems {
-				for _, rt := range q.RightItems {
-					pairs[lt.MustGet("name").Text()+"|"+rt.MustGet("name").Text()]++
-				}
-			}
-		}
-		if len(pairs) != nl*nr {
-			return false
-		}
-		for _, n := range pairs {
-			if n != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: CacheKey is insensitive to question ID but sensitive to any
 // input tuple change.
 func TestCacheKeyProperty(t *testing.T) {

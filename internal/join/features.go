@@ -305,7 +305,7 @@ func PairPasses(le, re *Extraction, left, right relation.Tuple, features []strin
 // FilteredSeq streams the feature-compatible subset of the cross
 // product in row-major order, without materializing the O(|R|·|S|)
 // candidate slice — survivors flow straight into HIT batching.
-func FilteredSeq(left, right *relation.Relation, le, re *Extraction, features []string) PairSeq {
+func FilteredSeq(left, right Rows, le, re *Extraction, features []string) PairSeq {
 	return func(yield func(Pair) bool) {
 		for i := 0; i < left.Len(); i++ {
 			for j := 0; j < right.Len(); j++ {
@@ -328,7 +328,7 @@ func FilteredPairs(left, right *relation.Relation, le, re *Extraction, features 
 // EmpiricalSelectivity returns the fraction of cross-product pairs that
 // survive the given features — the σ of §3.2 measured on data rather
 // than estimated from independence.
-func EmpiricalSelectivity(left, right *relation.Relation, le, re *Extraction, features []string) float64 {
+func EmpiricalSelectivity(left, right Rows, le, re *Extraction, features []string) float64 {
 	total := left.Len() * right.Len()
 	if total == 0 {
 		return 0
@@ -396,7 +396,7 @@ type FeatureVerdict struct {
 // a crowd join on a sample without filters). For each feature f, the
 // result loss is |j(f−) − j(f+)| / |j(f−)| computed over that set —
 // matches killed by adding f to the other filters.
-func ChooseFeatures(left, right *relation.Relation, le, re *Extraction,
+func ChooseFeatures(left, right Rows, le, re *Extraction,
 	features []Feature, referenceMatches []Pair, cfg SelectionConfig) ([]Feature, []FeatureVerdict, error) {
 	cfg.fillDefaults()
 	names := make([]string, len(features))
@@ -457,7 +457,7 @@ func ChooseFeatures(left, right *relation.Relation, le, re *Extraction,
 // estimates (paper §3.2 runs filters "on a small sample of the data
 // set"). Reservoir sampling over the streamed cross product keeps
 // memory at O(sample) instead of O(|R|·|S|).
-func SamplePairs(left, right *relation.Relation, frac float64, rng *rand.Rand) []Pair {
+func SamplePairs(left, right Rows, frac float64, rng *rand.Rand) []Pair {
 	total := left.Len() * right.Len()
 	if total == 0 {
 		return nil

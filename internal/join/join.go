@@ -128,56 +128,18 @@ func CollectPairs(seq PairSeq) []Pair {
 	return out
 }
 
-// PairIter is the pull-side dual of PairSeq: a resumable candidate-pair
-// iterator for consumers that interleave pair generation with other
-// work (the streaming executor batches pairs into HITs a chunk at a
-// time, posting each chunk before generating the next). Next returns
-// false when the sequence is exhausted.
-type PairIter interface {
-	Next() (Pair, bool)
-}
-
-// crossIter walks left×right in row-major order, optionally pruned by
-// feature extractions (PairPasses), without materializing anything.
-type crossIter struct {
-	left, right *relation.Relation
-	le, re      *Extraction
-	features    []string
-	i, j        int
-}
-
-// NewPairIter returns a pull iterator over the candidate pairs of
-// left ⋈ right in row-major order. With non-nil extractions and a
-// feature list it yields only feature-compatible pairs (the §3.2
-// pruned candidate set, same order as FilteredSeq); with nil
-// extractions it yields the full cross product (same order as
-// CrossSeq).
-func NewPairIter(left, right *relation.Relation, le, re *Extraction, features []string) PairIter {
-	return &crossIter{left: left, right: right, le: le, re: re, features: features}
-}
-
-// Next implements PairIter.
-func (it *crossIter) Next() (Pair, bool) {
-	for ; it.i < it.left.Len(); it.i++ {
-		lt := it.left.Row(it.i)
-		for ; it.j < it.right.Len(); it.j++ {
-			rt := it.right.Row(it.j)
-			if it.le != nil && it.re != nil && !PairPasses(it.le, it.re, lt, rt, it.features) {
-				continue
-			}
-			p := Pair{LeftIndex: it.i, RightIndex: it.j, Left: lt, Right: rt}
-			it.j++
-			return p, true
-		}
-		it.j = 0
-	}
-	return Pair{}, false
+// Rows is a materialized join input scanned by ordinal: a
+// relation.Relation, or a streaming executor's buffered probe rows and
+// (possibly spilled) build side.
+type Rows interface {
+	Len() int
+	Row(i int) relation.Tuple
 }
 
 // CrossSeq streams the full cross product in row-major order — the
 // block nested loop the paper describes (§3.1) without the O(|R|·|S|)
 // slice.
-func CrossSeq(left, right *relation.Relation) PairSeq {
+func CrossSeq(left, right Rows) PairSeq {
 	return func(yield func(Pair) bool) {
 		for i := 0; i < left.Len(); i++ {
 			for j := 0; j < right.Len(); j++ {
@@ -222,7 +184,7 @@ type Match struct {
 
 // CrossPairs enumerates the full cross product of candidate pairs.
 // Prefer CrossSeq for large inputs; this materializes the slice.
-func CrossPairs(left, right *relation.Relation) []Pair {
+func CrossPairs(left, right Rows) []Pair {
 	pairs := make([]Pair, 0, left.Len()*right.Len())
 	CrossSeq(left, right)(func(p Pair) bool {
 		pairs = append(pairs, p)

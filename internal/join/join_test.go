@@ -6,9 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"qurk/internal/combine"
 	"qurk/internal/crowd"
+	"qurk/internal/hit"
 	"qurk/internal/relation"
 	"qurk/internal/task"
 )
@@ -458,5 +460,89 @@ func TestFeatureValidation(t *testing.T) {
 	bad := Feature{Task: genderFeature().Task, Field: "missing"}
 	if err := bad.Validate(); err == nil {
 		t.Error("missing field accepted")
+	}
+}
+
+// gridCover counts how often each (left, right) pair appears across
+// grid HITs, reporting false when a grid exceeds r×s.
+func gridCover(hits []*hit.HIT, r, s int) (map[string]int, bool) {
+	cover := map[string]int{}
+	for _, h := range hits {
+		q := h.Questions[0]
+		if len(q.LeftItems) > r || len(q.RightItems) > s {
+			return nil, false
+		}
+		for _, lt := range q.LeftItems {
+			for _, rt := range q.RightItems {
+				cover[Pair{Left: lt, Right: rt}.Key()]++
+			}
+		}
+	}
+	return cover, true
+}
+
+// TestSmartGridHITs: over a full cross product the grid layout posts
+// ceil(|R|/r)·ceil(|S|/s) HITs (paper §3.1.3) covering every pair
+// exactly once; a grid with a zero dimension is an error, and an empty
+// side yields no HITs.
+func TestSmartGridHITs(t *testing.T) {
+	left, _ := makeTables(7)
+	_, right := makeTables(5)
+	b := hit.NewBuilder("g", 5, 1)
+	note := func(Pair) {}
+	// 7 left, 5 right, 3x3 grid → ceil(7/3)*ceil(5/3) = 3*2 = 6 HITs.
+	hits, err := SmartGridHITs(b, CrossSeq(left, right), note, "samePerson", 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 6 {
+		t.Fatalf("grid: %d HITs, want 6", len(hits))
+	}
+	cover, ok := gridCover(hits, 3, 3)
+	if !ok || len(cover) != 35 {
+		t.Fatalf("grid covers %d pairs, want 35", len(cover))
+	}
+	for p, n := range cover {
+		if n != 1 {
+			t.Errorf("pair %s appears %d times", p, n)
+		}
+	}
+	if _, err := SmartGridHITs(b, CrossSeq(left, right), note, "samePerson", 0, 3); err == nil {
+		t.Error("0-dimension grid accepted")
+	}
+	empty := relation.New("celeb", testSchema.Qualify("c"))
+	if hits, err := SmartGridHITs(b, CrossSeq(empty, right), note, "samePerson", 2, 2); err != nil || hits != nil {
+		t.Error("empty side should yield no HITs")
+	}
+}
+
+// Property: SmartGridHITs over a full cross product covers every
+// (left, right) pair exactly once for arbitrary table and grid shapes.
+func TestSmartGridPropertyExactCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	prop := func(_ uint8) bool {
+		nl := 1 + rng.Intn(15)
+		nr := 1 + rng.Intn(15)
+		r := 1 + rng.Intn(6)
+		c := 1 + rng.Intn(6)
+		left, _ := makeTables(nl)
+		_, right := makeTables(nr)
+		hits, err := SmartGridHITs(hit.NewBuilder("p", 5, 1), CrossSeq(left, right), func(Pair) {}, "t", r, c)
+		if err != nil {
+			return false
+		}
+		cover, ok := gridCover(hits, r, c)
+		if !ok || len(cover) != nl*nr {
+			return false
+		}
+		for _, n := range cover {
+			if n != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -497,13 +497,15 @@ func (o *optimizer) visitJoin(t *CrowdJoin, lr, rr int) (int, error) {
 		grids = append(grids, [2]int{5, 5})
 	}
 	// Every candidate carries the options' batch, grid and extraction
-	// shapes in the fields its interface does not choose, as Pin does.
+	// shapes in the fields its interface does not choose, and their
+	// feature extraction and selection choices, as Pin does.
 	add := func(p JoinPhys) {
 		if a, refused := alt(p); !refused {
 			entry.alts = append(entry.alts, a)
 		}
 	}
-	base := JoinPhys{BatchSize: opt.JoinBatch, GridRows: opt.GridRows, GridCols: opt.GridCols, ExtractBatch: opt.ExtractBatch}
+	base := JoinPhys{BatchSize: opt.JoinBatch, GridRows: opt.GridRows, GridCols: opt.GridCols, ExtractBatch: opt.ExtractBatch,
+		ExtractCombined: opt.ExtractCombined, AutoSelectFeatures: opt.AutoSelectFeatures, FeatureSelection: opt.FeatureSelection}
 	prefilters := []bool{false}
 	if len(t.LeftFeatures) > 0 {
 		prefilters = append(prefilters, true)

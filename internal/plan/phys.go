@@ -31,6 +31,14 @@ type JoinPhys struct {
 	UseFeatures bool
 	// ExtractBatch is subjects per feature-extraction HIT.
 	ExtractBatch int
+	// ExtractCombined asks all of a tuple's features in one extraction
+	// question (§3.3.4's combined interface) instead of one per feature.
+	ExtractCombined bool
+	// AutoSelectFeatures runs §3.2's automatic feature selection, with
+	// FeatureSelection's thresholds, once both sides are extracted; pair
+	// generation then filters on the kept features only.
+	AutoSelectFeatures bool
+	FeatureSelection   join.SelectionConfig
 	// Assignments is workers per HIT for this operator — the budget
 	// allocator's per-stage vote level.
 	Assignments int
@@ -101,7 +109,8 @@ func (p *BatchPhys) String() string { return fmt.Sprintf("batch %d", p.Batch) }
 // Pin annotates every crowd node under root that has no annotation
 // with the complete physical choice opts selects (zero fields take
 // core's defaults): its batch sizes, join interface and grid shape,
-// sort method and parameters, and assignments. A join applies its
+// feature extraction and selection, sort method and parameters, and
+// assignments. A join applies its
 // POSSIBLY features whenever it has some, and a Hybrid sort uses
 // sliding windows. Annotated nodes are left alone.
 func Pin(root Node, opts core.Options) {
@@ -126,7 +135,9 @@ func Pin(root Node, opts core.Options) {
 			if t.Phys == nil {
 				t.Phys = &JoinPhys{Algorithm: opts.JoinAlgorithm, BatchSize: opts.JoinBatch,
 					GridRows: opts.GridRows, GridCols: opts.GridCols, UseFeatures: len(t.LeftFeatures) > 0,
-					ExtractBatch: opts.ExtractBatch, Assignments: opts.Assignments}
+					ExtractBatch: opts.ExtractBatch, ExtractCombined: opts.ExtractCombined,
+					AutoSelectFeatures: opts.AutoSelectFeatures, FeatureSelection: opts.FeatureSelection,
+					Assignments: opts.Assignments}
 			}
 		case *CrowdOrderBy:
 			if t.Phys == nil {

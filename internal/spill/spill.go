@@ -134,9 +134,9 @@ type Table struct {
 }
 
 // NewTable builds a table spilling past cap tuples; cap <= 0 never
-// spills and writes no file. The error is always nil.
-func NewTable(name string, schema *relation.Schema, cap int) (*Table, error) {
-	return &Table{name: name, schema: schema, cap: cap, loaded: -1}, nil
+// spills and writes no file.
+func NewTable(name string, schema *relation.Schema, cap int) *Table {
+	return &Table{name: name, schema: schema, cap: cap, loaded: -1}
 }
 
 // Name reports the relation name.
@@ -234,9 +234,9 @@ type Sorter struct {
 }
 
 // NewSorter builds a sorter spilling runs past cap tuples; cap <= 0
-// never spills and writes no file. The error is always nil.
-func NewSorter(schema *relation.Schema, cap int, less func(a, b relation.Tuple) bool) (*Sorter, error) {
-	return &Sorter{schema: schema, cap: cap, less: less}, nil
+// never spills and writes no file.
+func NewSorter(schema *relation.Schema, cap int, less func(a, b relation.Tuple) bool) *Sorter {
+	return &Sorter{schema: schema, cap: cap, less: less}
 }
 
 // Add accepts one tuple in input order.

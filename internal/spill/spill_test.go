@@ -92,10 +92,7 @@ func TestSorterMatchesSliceStable(t *testing.T) {
 		for _, cap := range []int{1, 3, 64} {
 			rng := rand.New(rand.NewSource(int64(n*100 + cap)))
 			var want []relation.Tuple
-			sorter, err := NewSorter(s, cap, less)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sorter := NewSorter(s, cap, less)
 			for i := 0; i < n; i++ {
 				tp := testTuple(t, s, rng.Intn(50))
 				want = append(want, tp)
@@ -142,15 +139,9 @@ func TestCapZeroNeverSpills(t *testing.T) {
 	t.Setenv("TMPDIR", tmp)
 	s := testSchema(t)
 	less := func(a, b relation.Tuple) bool { return a.MustGet("k").Int() < b.MustGet("k").Int() }
-	sorter, err := NewSorter(s, 0, less)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sorter := NewSorter(s, 0, less)
 	defer sorter.Close()
-	tb, err := NewTable("t", s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := NewTable("t", s, 0)
 	defer tb.Close()
 	rng := rand.New(rand.NewSource(9))
 	var in []relation.Tuple
@@ -207,10 +198,7 @@ func TestCapZeroNeverSpills(t *testing.T) {
 // identically in sequential scans and after partition switches.
 func TestTableSequentialAndRandomAccess(t *testing.T) {
 	s := testSchema(t)
-	tb, err := NewTable("t", s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := NewTable("t", s, 4)
 	defer tb.Close()
 	const n = 23
 	var want []relation.Tuple
